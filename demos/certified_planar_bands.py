@@ -3,10 +3,10 @@
 For planar matrices the trigonometric reformulation of both extremal
 problems lets a refined grid search certify an interval that provably
 contains each true constant.  This script draws one random complex 2-column
-matrix, runs the multi-start solver and the certified oracle side by side,
-and prints where each solver value lands inside its band, including the
-orthogonality gap that opens between the restricted and unrestricted lower
-constants.
+matrix, runs the solver (multi-start at p = 1, exact eigen-solves at p = 2)
+and the certified oracle side by side, and prints where each solver value
+lands inside its band, including the orthogonality gap that opens between
+the restricted and unrestricted lower constants.
 
 Run:  python3 demos/certified_planar_bands.py [--m 7] [--seed 11]
 """

@@ -68,7 +68,7 @@ def _parse_field(name: str) -> Field:
 
 def _input_matrix(args) -> SensingMatrix | int:
     """Resolve --matrix / --m (+ optional --field widening) to a matrix."""
-    if args.matrix and args.m:
+    if args.matrix and args.m is not None:
         return _usage_error("--matrix and --m are mutually exclusive")
     if args.matrix:
         A = load_matrix(args.matrix)
@@ -79,7 +79,7 @@ def _input_matrix(args) -> SensingMatrix | int:
                 "a complex matrix file cannot be reinterpreted over the reals"
             )
         return A
-    if args.m:
+    if args.m is not None:
         A = harmonic_frame(args.m)
         if args.field == "complex":
             return SensingMatrix(Field.COMPLEX, A.array.astype(complex))
@@ -89,7 +89,7 @@ def _input_matrix(args) -> SensingMatrix | int:
 
 def _optimizer(args) -> OptimizerConfig:
     kwargs = {}
-    if getattr(args, "starts", None):
+    if getattr(args, "starts", None) is not None:
         kwargs["starts"] = args.starts
     if getattr(args, "seed", None) is not None:
         kwargs["rng"] = RngSpec(args.seed, 0)
@@ -118,7 +118,7 @@ def _cmd_beta(args) -> int:
 
 def _cmd_bounds(args) -> int:
     field = _parse_field(args.field or "real")
-    top = args.m or 12
+    top = 12 if args.m is None else args.m
     if top < 3:
         return _usage_error("--m must be at least 3 for the bounds table")
     rows = []
@@ -148,7 +148,8 @@ def _cmd_oracle(args) -> int:
         return A
     if A.d != 2:
         return _usage_error(f"the certified oracle needs d=2 input, got d={A.d}")
-    grid = oracle_mod.GridSpec(resolution=args.grid_resolution or 2048)
+    grid = (oracle_mod.GridSpec() if args.grid_resolution is None
+            else oracle_mod.GridSpec(resolution=args.grid_resolution))
     low = oracle_mod.grid_lower_l(A, args.p, Constraint.REAL_INNER, grid)
     orth = oracle_mod.grid_lower_l(A, args.p, Constraint.ORTHOGONAL, grid)
     high = oracle_mod.grid_upper_u(A, args.p, grid)
@@ -185,7 +186,7 @@ def _cmd_experiment(args) -> int:
         d=args.d,
         trials=args.trials,
         rng=RngSpec(args.seed if args.seed is not None else 20240817, 0),
-        optimizer=OptimizerConfig(starts=args.starts) if args.starts else OptimizerConfig(),
+        optimizer=OptimizerConfig() if args.starts is None else OptimizerConfig(starts=args.starts),
     )
     result = run_gaussian_sweep(cfg)
     if args.out:

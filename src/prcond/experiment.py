@@ -17,7 +17,6 @@ import csv
 import io
 import math
 import os
-import subprocess
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import __version__
 from .core import GENERATOR_NAME, Field, RngSpec, sample_gaussian
 from .lipschitz import (
     ConditionReport,
@@ -65,26 +65,6 @@ def _thread_count() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-def _code_version() -> str:
-    """A git describe of the working tree, else the installed version."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here, capture_output=True, text=True, timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    try:
-        from importlib.metadata import version
-
-        return version("prcond")
-    except Exception:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -175,7 +155,7 @@ class SweepResult:
         out = {
             "kind": "gaussian-sweep",
             "generator": GENERATOR_NAME,
-            "code_version": _code_version(),
+            "code_version": __version__,
             "config": self.config.to_json_dict(),
             "summary": {
                 "mean_beta": self.summary.mean_beta,

@@ -1,4 +1,4 @@
-"""Optimal Lipschitz constants of the intensity map by direct optimization.
+"""Optimal Lipschitz constants of the intensity map.
 
 The three quantities of interest for a sensing matrix A and p in {1, 2} are
 
@@ -7,13 +7,15 @@ The three quantities of interest for a sensing matrix A and p in {1, 2} are
                                     over unit u, v with <u, v> real,
     M = the same infimum restricted to <u, v> = 0,
 
-and the condition number beta = U / L.  U with p=1 is the largest
-eigenvalue of A*A and is solved exactly; everything else is nonconvex, so
-this module runs batched multi-start projected gradient (descent or ascent)
-on the constraint manifold, with a subgradient phase for the kinked p=1
-objective and a simplex polish.  On planar matrices (d=2) results are
-additionally bracketed by the certified grid oracle, and the returned
-estimate carries that band.
+and the condition number beta = U / L.  Two cases are solved exactly
+(method ClosedForm): U at p=1 is the largest eigenvalue of A*A, and at
+d=2, p=2 all three constants are small eigenvalue problems in the planar
+coordinates of `planar`.  Everything else is nonconvex, so this module
+runs batched multi-start projected gradient (descent or ascent) on the
+constraint manifold, with a subgradient phase for the kinked p=1 objective
+and a simplex polish.  On planar matrices (d=2) results can additionally be
+bracketed by the certified grid oracle, and the returned estimate carries
+that band.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
 through their `method` tag, and the d=2 band is the honest substitute where
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .closedform import universal_lower_bound
+from . import planar
+from .closedform import _check_p, universal_lower_bound
 from .core import (
     GENERATOR_NAME,
     Constraint,
@@ -98,7 +101,8 @@ class OptimizerConfig:
 
     `subgradient_iters` applies only to the nonsmooth p=1 descent.
     `polish` enables the final simplex refinement (and, at d=2, refinement
-    in the reduced planar coordinates).  `bracket_planar` additionally
+    in the reduced planar coordinates).  At d=2, p=2 the constants are
+    solved exactly and no search knob applies.  `bracket_planar` additionally
     attaches the certified grid-oracle band to d=2 results; it is off by
     default because the certification sweep costs far more than the search
     itself.
@@ -227,13 +231,6 @@ def upper_objective(A: SensingMatrix, u: np.ndarray, p: int) -> float:
     """( sum_j |<a_j, u>|^(2p) )^(1/p) at one unit vector."""
     y = np.abs(A.array @ u)
     return float((y ** (2 * p)).sum() ** (1.0 / p))
-
-
-def _check_p(p: int) -> int:
-    p = int(p)
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    return p
 
 
 def _nonzero_matrix(A: SensingMatrix) -> None:
@@ -465,13 +462,10 @@ def _polish_pair_ambient(A, p, u0, v0, orthogonal):
     return float(res.fun), pair[0], pair[1]
 
 
-def _polish_pair_planar(A, p, u0, v0, orthogonal):
-    """Refine in the reduced planar coordinates and rebuild the pair."""
-    from . import oracle
-
-    kap, M = oracle._bloch_rows(A)
-    kp = kap ** p
-    r0, y0 = oracle._point_from_pair(u0, v0)
+def _polish_pair_planar(A, u0, v0, orthogonal):
+    """Refine a p=1 pair in the reduced planar coordinates and rebuild it."""
+    kap, M = planar._bloch_rows(A)
+    r0, y0 = planar._point_from_pair(u0, v0)
     if orthogonal:
         r0 = 0.0
 
@@ -481,7 +475,7 @@ def _polish_pair_planar(A, p, u0, v0, orthogonal):
         def fobj(z):
             r = 0.0 if orthogonal else min(max(z[0], 0.0), 1.0)
             y = np.array([math.cos(z[-1]), math.sin(z[-1]), 0.0])
-            return float((kp * np.abs(r + M @ y) ** p).sum())
+            return float((kap * np.abs(r + M @ y)).sum())
 
         z0 = np.array([xi0]) if orthogonal else np.array([r0, xi0])
     else:
@@ -494,7 +488,7 @@ def _polish_pair_planar(A, p, u0, v0, orthogonal):
             y = np.array(
                 [math.cos(th), math.sin(th) * math.cos(ga), math.sin(th) * math.sin(ga)]
             )
-            return float((kp * np.abs(r + M @ y) ** p).sum())
+            return float((kap * np.abs(r + M @ y)).sum())
 
         z0 = np.array([th0, ga0]) if orthogonal else np.array([r0, th0, ga0])
 
@@ -509,7 +503,7 @@ def _polish_pair_planar(A, p, u0, v0, orthogonal):
     else:
         th, ga = z[-2], z[-1]
         y = np.array([math.cos(th), math.sin(th) * math.cos(ga), math.sin(th) * math.sin(ga)])
-    u, v = oracle._pair_from_point(r, y, A.field)
+    u, v = planar._pair_from_point(r, y, A.field)
     return float(res.fun), u, v
 
 
@@ -520,10 +514,12 @@ def _polish_pair_planar(A, p, u0, v0, orthogonal):
 def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:
     """The optimal upper constant U, the squared 2 -> 2p operator norm.
 
-    p=1 reduces to the top eigenvalue of A*A and is solved exactly (method
-    ClosedForm).  p=2 runs multi-start projected gradient ascent of the
-    fourth-moment sum over the unit sphere.  Planar matrices also get the
-    grid oracle's certified band.
+    p=1 reduces to the top eigenvalue of A*A, and at d=2 p=2 is a
+    trust-region subproblem in the planar coordinates; both are solved
+    exactly (method ClosedForm).  Otherwise p=2 runs multi-start projected
+    gradient ascent of the fourth-moment sum over the unit sphere.  With
+    `bracket_planar`, planar matrices also get the grid oracle's certified
+    band.
     """
     p = _check_p(p)
     cfg = cfg or OptimizerConfig()
@@ -534,6 +530,11 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
         evals, evecs = np.linalg.eigh(gram)
         value = float(evals[-1])
         witness = np.ascontiguousarray(evecs[:, -1])
+        method = Method.CLOSED_FORM
+    elif A.d == 2:
+        square, witness = planar.exact_upper_p2(A)
+        value = upper_objective(A, witness, p)
+        planar._check_witness(square, value ** 2, "exact planar upper")
         method = Method.CLOSED_FORM
     else:
         fbest, witness = _ascend_fourth_moment(A, cfg)
@@ -554,16 +555,23 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
     if orthogonal and A.d < 2:
         raise ValueError("orthogonal pairs need dimension d >= 2")
 
-    fbest, u, v = _descend_pairs(A, p, orthogonal, cfg)
-    if cfg.polish:
-        candidates = [_polish_pair_ambient(A, p, u, v, orthogonal)]
-        if A.d == 2:
-            candidates.append(_polish_pair_planar(A, p, u, v, orthogonal))
-        for cand in candidates:
-            if cand is not None and cand[0] < fbest:
-                fbest, u, v = cand
+    if p == 2 and A.d == 2:
+        square, u, v = planar.exact_lower_p2(A, orthogonal)
+        value = pair_objective(A, u, v, p)
+        planar._check_witness(square, value ** 2, "exact planar lower")
+        method = Method.CLOSED_FORM
+    else:
+        fbest, u, v = _descend_pairs(A, p, orthogonal, cfg)
+        if cfg.polish:
+            candidates = [_polish_pair_ambient(A, p, u, v, orthogonal)]
+            if A.d == 2:
+                candidates.append(_polish_pair_planar(A, u, v, orthogonal))
+            for cand in candidates:
+                if cand is not None and cand[0] < fbest:
+                    fbest, u, v = cand
+        value = fbest ** (1.0 / p)
+        method = Method.MULTI_START_LOCAL
 
-    value = fbest ** (1.0 / p)
     if value < ZERO_CLAMP:
         value = 0.0
     constraint = Constraint.ORTHOGONAL if orthogonal else Constraint.REAL_INNER
@@ -576,14 +584,17 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
 
         band = oracle.grid_lower_l(A, p, constraint).certified_band
     kind = EstimateKind.ORTHOGONAL_M if orthogonal else EstimateKind.LOWER_L
-    return LipschitzEstimate(value, kind, p, witness, Method.MULTI_START_LOCAL, band)
+    return LipschitzEstimate(value, kind, p, witness, method, band)
 
 
 def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:
     """The optimal lower constant L over pairs with real inner product.
 
-    Multi-start projected gradient on the product of unit spheres, with the
-    tangent projection additionally cancelling motion that would violate
+    At d=2, p=2, L^2 is the smallest eigenvalue of a 2x2 (real) or 3x3
+    (complex) matrix in the planar coordinates, solved exactly (method
+    ClosedForm) whatever the search settings.  Otherwise it runs multi-start
+    projected gradient on the product of unit spheres, with the tangent
+    projection additionally cancelling motion that would violate
     Im<u, v> = 0 (vacuous over the reals).  p=1 uses diminishing-step
     subgradient descent followed by a simplex polish; at d=2 the polish runs
     in the reduced planar coordinates, which is where the final accuracy
@@ -593,7 +604,10 @@ def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
 
 
 def orthogonal_lower_bound(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:
-    """The infimum M over orthogonal unit pairs; never below L."""
+    """The infimum M over orthogonal unit pairs; never below L.
+
+    Solved like `lower_lipschitz`, exactly at d=2, p=2.
+    """
     return _lower_estimate(A, p, cfg or OptimizerConfig(), orthogonal=True)
 
 

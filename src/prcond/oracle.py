@@ -1,21 +1,12 @@
 """Certified planar optima and numerical verification of every identity.
 
 Planar oracle.  At d=2 the Lipschitz optimization collapses to a small
-number of real parameters.  Write each measurement's rank-one matrix in
-coordinates kappa_i (half the squared row norm) and a unit 3-vector m_i,
-and every feasible unit pair (u, v) with real inner product r = <u, v>
-maps to a unit 3-vector y with
-
-    |Re(conj(<a_i,u>) <a_i,v>)| = kappa_i |r + <m_i, y>|.
-
-The map is onto [0, 1] x S^2 (rank-one algebra forces |y| = 1 exactly, for
-every r), orthogonal pairs are exactly the r = 0 slice, and real-field
-pairs are the equatorial slice, so minimizing over (r, y) IS the planar
-infimum, not a relaxation of it.  The supremum works the same way through
-|<a_i,u>|^2 = kappa_i (1 + <m_i, w>).  A branch-and-bound over these boxes
-with per-axis Lipschitz constants yields an interval certified to contain
-the true optimum, plus a witness vector or pair rebuilt from the optimal
-parameters by factoring the rank-one matrix they encode.
+number of real parameters: in the coordinates of `planar`, a feasible pair
+is a point (r, y) of [0, 1] x S^2 and a unit vector is a point w of S^2,
+so minimizing over those boxes IS the planar optimum, not a relaxation of
+it.  A branch-and-bound over these boxes with per-axis Lipschitz constants
+yields an interval certified to contain the true optimum, plus a witness
+vector or pair rebuilt from the optimal parameters.
 
 Identity suite.  The remaining functions check, numerically and over wide
 sweeps, the trigonometric partial-sum identities, the closed form of the
@@ -32,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
+from .closedform import _check_p
 from .core import (
     Constraint,
-    ConsistencyError,
     Field,
     RngSpec,
     SensingMatrix,
@@ -46,11 +37,11 @@ from .lipschitz import (
     EstimateKind,
     LipschitzEstimate,
     Method,
-    _check_p,
     is_tight_4_frame,
     pair_objective,
     upper_objective,
 )
+from .planar import _bloch_rows, _bloch_vector, _check_witness, _pair_from_point
 
 __all__ = [
     "GridSpec",
@@ -114,93 +105,6 @@ class SubTanCheck:
 class McEstimate:
     estimate: float
     stderr: float
-
-
-# ---------------------------------------------------------------------------
-# planar coordinates
-# ---------------------------------------------------------------------------
-
-def _bloch_rows(A: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row weights kappa_i and unit coordinate vectors m_i.
-
-    Row norms t_i give kappa_i = t_i^2 / 2; m_i are the coordinates of the
-    measurement's rank-one matrix in a fixed orthonormal frame of traceless
-    Hermitian 2x2 matrices.  Zero rows get kappa = 0 and an arbitrary axis.
-    """
-    s = A.array.astype(np.complex128, copy=False)
-    t2 = (np.abs(s) ** 2).sum(axis=1)
-    safe = np.where(t2 > 0, t2, 1.0)
-    cross = np.conj(s[:, 0]) * s[:, 1]
-    M = np.stack(
-        [
-            (np.abs(s[:, 0]) ** 2 - np.abs(s[:, 1]) ** 2) / safe,
-            2.0 * cross.real / safe,
-            2.0 * cross.imag / safe,
-        ],
-        axis=1,
-    )
-    M[t2 == 0] = (1.0, 0.0, 0.0)
-    return t2 / 2.0, M
-
-
-def _bloch_vector(w: np.ndarray, field: Field) -> np.ndarray:
-    """The unit vector in H^2 whose rank-one coordinates are w."""
-    z, x, y = float(w[0]), float(w[1]), -float(w[2])
-    th = math.acos(min(max(z, -1.0), 1.0))
-    ph = math.atan2(y, x)
-    if field is Field.REAL:
-        u = np.array([math.cos(th / 2.0), math.copysign(math.sin(th / 2.0), math.cos(ph))])
-        return u
-    return np.array([math.cos(th / 2.0), math.sin(th / 2.0) * np.exp(1j * ph)])
-
-
-def _pair_from_point(r: float, y: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild a feasible unit pair (u, v) with <u, v> = r from (r, y).
-
-    The parameters encode the rank-one matrix v u^* with real trace r; its
-    coordinate vector has real part y/2 and an orthogonal imaginary part of
-    norm sqrt(1 - r^2)/2, fixed here by a deterministic choice.  The matrix
-    has determinant zero and unit Frobenius norm, so a singular value
-    decomposition factors it back into unit vectors.
-    """
-    r = float(r)
-    y = np.asarray(y, dtype=np.float64)
-    s = math.sqrt(max(1.0 - r * r, 0.0)) / 2.0
-    c0, c1, c2 = r / 2.0, y[0] / 2.0, y[1] / 2.0
-    if field is Field.REAL:
-        if abs(y[2]) > 1e-9:
-            raise ValueError("real pairs require an equatorial coordinate vector")
-        Mat = np.array([[c0 + c1, c2 - s], [c2 + s, c0 - c1]])
-    else:
-        probe = np.array([1.0, 0.0, 0.0]) if abs(y[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        b = np.cross(y, probe)
-        b /= np.linalg.norm(b)
-        c = y / 2.0 + 1j * s * b
-        Mat = np.array(
-            [[c0 + c[0], c[1] + 1j * c[2]], [c[1] - 1j * c[2], c0 - c[0]]]
-        )
-    W, sv, Vh = np.linalg.svd(Mat)
-    if abs(sv[0] - 1.0) > 1e-10 or sv[1] > 1e-10:
-        raise ConsistencyError(f"reconstructed pair matrix is not rank one: {sv}")
-    return Vh[0].conj(), W[:, 0]
-
-
-def _point_from_pair(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Planar coordinates (r, y) of a unit pair; r is folded into [0, 1]."""
-    M = np.outer(v, np.conj(u))
-    r = float(np.trace(M).real)
-    c1 = (M[0, 0] - M[1, 1]) / 2.0
-    c2 = (M[0, 1] + M[1, 0]) / 2.0
-    c3 = (M[0, 1] - M[1, 0]) / 2j
-    y = 2.0 * np.array([c1.real, c2.real, c3.real])
-    n = np.linalg.norm(y)
-    if n > 0:
-        y = y / n
-    else:
-        y = np.array([1.0, 0.0, 0.0])
-    if r < 0:
-        return -r, -y
-    return r, y
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +261,6 @@ def _upper_problem(A: SensingMatrix, p: int):
 def _require_planar(A: SensingMatrix) -> None:
     if A.d != 2:
         raise ValueError(f"the grid oracle parameterization needs d=2, got d={A.d}")
-
-
-def _check_witness(value: float, direct: float, what: str) -> None:
-    if abs(value - direct) > 1e-8 * (1.0 + abs(value)):
-        raise ConsistencyError(
-            f"{what} witness reproduces {direct!r}, oracle claims {value!r}"
-        )
 
 
 def grid_lower_l(

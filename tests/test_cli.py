@@ -70,6 +70,14 @@ def test_beta_output_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
+def test_beta_rejects_zero_starts(capsys):
+    # 0 is an explicit value, not a request for the default 64 starts
+    code, out, err = run_cli(capsys, "beta", "--m", "5", "--starts", "0")
+    assert code == 2
+    assert out == ""
+    assert "starts" in err
+
+
 def test_beta_reads_matrix_files(capsys, tmp_path):
     A = sample_gaussian(Field.REAL, 7, 2, RngSpec(2024, 3))
     path = tmp_path / "mat.csv"
@@ -123,6 +131,9 @@ def test_beta_rejects_conflicting_inputs(capsys, tmp_path):
     code, _, err = run_cli(capsys, "beta", "--m", "3", "--matrix", str(path))
     assert code == 2
     assert "mutually exclusive" in err
+    code, _, err = run_cli(capsys, "beta", "--m", "0", "--matrix", str(path))
+    assert code == 2
+    assert "mutually exclusive" in err
     code, _, err = run_cli(capsys, "beta")
     assert code == 2
 
@@ -168,6 +179,9 @@ def test_bounds_complex_field_has_no_harmonic_column(capsys):
 def test_bounds_rejects_tiny_m(capsys):
     code, _, err = run_cli(capsys, "bounds", "--m", "2")
     assert code == 2
+    code, out, _ = run_cli(capsys, "bounds", "--m", "0")
+    assert code == 2
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +203,13 @@ def test_oracle_bands_bracket_harmonic_constants(capsys):
     assert beta_lo <= h.beta <= beta_hi
     assert payload["grid"]["resolution"] == 256
     assert payload["orthogonal"]["kind"] == "OrthogonalM"
+
+
+def test_oracle_rejects_zero_grid_resolution(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--m", "5", "--grid-resolution", "0")
+    assert code == 2
+    assert out == ""
+    assert "resolution" in err
 
 
 def test_oracle_requires_planar_input(capsys, tmp_path):
@@ -228,6 +249,15 @@ def test_experiment_csv_and_record_file(capsys, tmp_path):
     assert out.startswith("trial,seed,m,d,field,p,L,U,beta,runtime_ms")
     saved = target.read_text().strip().splitlines()
     assert len(saved) == 3
+
+
+def test_experiment_rejects_zero_starts(capsys):
+    code, out, err = run_cli(
+        capsys, "experiment", "--m", "8", "--d", "2", "--trials", "1", "--starts", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "starts" in err
 
 
 def test_experiment_requires_dimensions(capsys):

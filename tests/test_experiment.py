@@ -128,6 +128,19 @@ def test_sweep_json_summary_shape():
     assert len(with_rows["records"]) == 2
 
 
+def test_sweep_json_code_version_is_the_package_version(monkeypatch):
+    import subprocess
+
+    import prcond
+
+    def no_processes(*args, **kwargs):
+        raise AssertionError("experiment JSON must not start a process")
+
+    monkeypatch.setattr(subprocess, "run", no_processes)
+    res = run_gaussian_sweep(small_config(trials=1))
+    assert res.to_json_dict()["code_version"] == prcond.__version__
+
+
 # ---------------------------------------------------------------------------
 # convergence table
 # ---------------------------------------------------------------------------

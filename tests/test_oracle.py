@@ -15,7 +15,14 @@ from prcond.core import (
     harmonic_frame,
     sample_gaussian,
 )
-from prcond.lipschitz import EstimateKind, Method, pair_objective, upper_objective
+from prcond.lipschitz import (
+    EstimateKind,
+    Method,
+    lower_lipschitz,
+    orthogonal_lower_bound,
+    pair_objective,
+    upper_objective,
+)
 from prcond.oracle import (
     GridSpec,
     check_g_min_at_one,
@@ -252,6 +259,21 @@ def test_derived_planar_minima_match_external_search(case):
         assert want <= est.value + 1e-8
         # and the two independent searches land on the same minimum
         assert est.value <= want + 5e-5
+
+
+@pytest.mark.parametrize("case", range(len(_DERIVED_TRIALS)))
+def test_derived_planar_minima_match_exact_p2(case):
+    rows, expected = _DERIVED_TRIALS[case]
+    matrix = SensingMatrix.from_vectors(Field.COMPLEX, rows)
+    for label, fun in (("free", lower_lipschitz), ("orth", orthogonal_lower_bound)):
+        est = fun(matrix, 2)
+        assert est.method is Method.CLOSED_FORM
+        # the exact infimum never exceeds a feasible external value and
+        # sits inside the certified band
+        assert est.value <= expected[(2, label)] + 1e-8
+        assert est.value == pytest.approx(expected[(2, label)], abs=5e-5)
+        lo, hi = _derived_estimate(case, 2, label).certified_band
+        assert lo - 1e-12 <= est.value <= hi + 1e-12
 
 
 @pytest.mark.parametrize("case", range(len(_DERIVED_TRIALS)))
