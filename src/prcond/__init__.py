@@ -18,164 +18,19 @@ Everything here is re-exported from the topical modules `core`,
 `closedform`, `lipschitz`, `oracle`, and `experiment`.
 """
 
-# set before the submodules load: experiment JSON records it
-__version__ = "0.1.0"
-
-from .closedform import (
-    SQRT3,
-    BoundSpec,
-    HarmonicConstants,
-    fourth_moment_floor,
-    gaussian_abs_expectation,
-    harmonic_constants,
-    sub_tan_bound,
-    two_to_four_norm_bound,
-    universal_lower_bound,
-)
-from .core import (
-    GENERATOR_NAME,
-    ConsistencyError,
-    Constraint,
-    Field,
-    PolarRow,
-    RngSpec,
-    SensingMatrix,
-    UnitPair,
-    dist_h,
-    from_polar,
-    harmonic_frame,
-    load_matrix,
-    matrix_from_csv,
-    matrix_from_dict,
-    matrix_to_csv,
-    matrix_to_dict,
-    psi_map,
-    sample_gaussian,
-    sample_unit,
-    save_matrix,
-    to_polar,
-)
-from .experiment import (
-    CSV_HEADER,
-    ConvergenceRow,
-    ExperimentConfig,
-    ExperimentRecord,
-    SweepResult,
-    SweepSummary,
-    TailCheck,
-    asymptotic_beta,
-    convergence_table,
-    records_to_csv,
-    run_gaussian_sweep,
-    tail_check_two_to_four,
-    write_records_csv,
-)
-from .lipschitz import (
-    NO_PHASE_RETRIEVAL_FLAG,
-    ConditionReport,
-    EstimateKind,
-    LipschitzEstimate,
-    Method,
-    OptimizerConfig,
-    TightFrameCheck,
-    condition_number,
-    estimate_to_json_dict,
-    is_tight_4_frame,
-    lower_lipschitz,
-    orthogonal_lower_bound,
-    pair_objective,
-    upper_lipschitz,
-    upper_objective,
-)
-from .oracle import (
-    GridSpec,
-    McEstimate,
-    SubTanCheck,
-    SuiteResult,
-    VerificationReport,
-    check_g_min_at_one,
-    check_gk_closed_form,
-    check_lagrange_identities,
-    check_sub_tan,
-    grid_lower_l,
-    grid_upper_u,
-    k_hat,
-    mc_expectation,
-    verify_all,
-)
+from . import closedform, core, experiment, lipschitz, oracle
+from ._version import __version__
+from .closedform import *
+from .core import *
+from .experiment import *
+from .lipschitz import *
+from .oracle import *
 
 __all__ = [
     "__version__",
-    "GENERATOR_NAME",
-    "SQRT3",
-    "CSV_HEADER",
-    "NO_PHASE_RETRIEVAL_FLAG",
-    "Field",
-    "Constraint",
-    "RngSpec",
-    "SensingMatrix",
-    "UnitPair",
-    "PolarRow",
-    "ConsistencyError",
-    "BoundSpec",
-    "HarmonicConstants",
-    "LipschitzEstimate",
-    "EstimateKind",
-    "Method",
-    "OptimizerConfig",
-    "ConditionReport",
-    "TightFrameCheck",
-    "GridSpec",
-    "SubTanCheck",
-    "McEstimate",
-    "SuiteResult",
-    "VerificationReport",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "SweepResult",
-    "SweepSummary",
-    "ConvergenceRow",
-    "TailCheck",
-    "harmonic_frame",
-    "sample_gaussian",
-    "sample_unit",
-    "psi_map",
-    "dist_h",
-    "to_polar",
-    "from_polar",
-    "matrix_to_dict",
-    "matrix_from_dict",
-    "matrix_to_csv",
-    "matrix_from_csv",
-    "save_matrix",
-    "load_matrix",
-    "universal_lower_bound",
-    "harmonic_constants",
-    "gaussian_abs_expectation",
-    "two_to_four_norm_bound",
-    "fourth_moment_floor",
-    "sub_tan_bound",
-    "upper_lipschitz",
-    "lower_lipschitz",
-    "orthogonal_lower_bound",
-    "condition_number",
-    "is_tight_4_frame",
-    "pair_objective",
-    "upper_objective",
-    "estimate_to_json_dict",
-    "grid_lower_l",
-    "grid_upper_u",
-    "check_lagrange_identities",
-    "check_gk_closed_form",
-    "check_g_min_at_one",
-    "check_sub_tan",
-    "k_hat",
-    "mc_expectation",
-    "verify_all",
-    "asymptotic_beta",
-    "run_gaussian_sweep",
-    "convergence_table",
-    "tail_check_two_to_four",
-    "records_to_csv",
-    "write_records_csv",
+    *core.__all__,
+    *closedform.__all__,
+    *lipschitz.__all__,
+    *oracle.__all__,
+    *experiment.__all__,
 ]

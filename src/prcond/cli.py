@@ -62,17 +62,13 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _parse_field(name: str) -> Field:
-    return Field.COMPLEX if name == "complex" else Field.REAL
-
-
 def _input_matrix(args) -> SensingMatrix | int:
     """Resolve --matrix / --m (+ optional --field widening) to a matrix."""
     if args.matrix and args.m is not None:
         return _usage_error("--matrix and --m are mutually exclusive")
     if args.matrix:
         A = load_matrix(args.matrix)
-        if args.field and _parse_field(args.field) is not A.field:
+        if args.field and Field.parse(args.field) is not A.field:
             if A.field is Field.REAL and args.field == "complex":
                 return SensingMatrix(Field.COMPLEX, A.array.astype(complex))
             return _usage_error(
@@ -117,7 +113,7 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    field = _parse_field(args.field or "real")
+    field = Field.parse(args.field or "real")
     top = 12 if args.m is None else args.m
     if top < 3:
         return _usage_error("--m must be at least 3 for the bounds table")
@@ -180,7 +176,7 @@ def _cmd_experiment(args) -> int:
     if args.m is None or args.d is None:
         return _usage_error("experiment requires --m and --d")
     cfg = ExperimentConfig(
-        field=_parse_field(args.field or "real"),
+        field=Field.parse(args.field or "real"),
         p=args.p,
         m=args.m,
         d=args.d,

@@ -26,6 +26,7 @@ __all__ = [
     "two_to_four_norm_bound",
     "fourth_moment_floor",
     "sub_tan_bound",
+    "SQRT3",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -184,7 +185,6 @@ def sub_tan_bound(t_squares) -> float:
 
 
 def _check_p(p: int) -> int:
-    p = int(p)
     if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    return p
+        raise ValueError(f"p must be 1 or 2, got {p!r}")
+    return int(p)

@@ -47,6 +47,7 @@ __all__ = [
     "matrix_from_csv",
     "save_matrix",
     "load_matrix",
+    "GENERATOR_NAME",
 ]
 
 GENERATOR_NAME = "philox4x64"
@@ -323,6 +324,14 @@ def _restricted_nuclear(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.abs(ev)))
 
 
+def _metric_routes(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """S = |x|^2 + |y|^2 and the product and eigenvalue routes to dist_h."""
+    s = float(np.vdot(x, x).real + np.vdot(y, y).real)
+    c = abs(np.vdot(x, y))
+    product = math.sqrt(max(s - 2.0 * c, 0.0)) * math.sqrt(s + 2.0 * c)
+    return s, product, _restricted_nuclear(x, y)
+
+
 def dist_h(x: np.ndarray, y: np.ndarray) -> float:
     """Quotient-space distance ||xx* - yy*||_* between two vectors.
 
@@ -337,10 +346,7 @@ def dist_h(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"vectors must share one shape, got {x.shape} and {y.shape}")
-    s = float(np.vdot(x, x).real + np.vdot(y, y).real)
-    c = abs(np.vdot(x, y))
-    product = math.sqrt(max(s - 2.0 * c, 0.0)) * math.sqrt(s + 2.0 * c)
-    eigen = _restricted_nuclear(x, y)
+    s, product, eigen = _metric_routes(x, y)
     if abs(product - eigen) > 1e-10 * max(s, 1e-300):
         raise ConsistencyError(
             f"metric routes disagree: product {product!r} vs eigen {eigen!r}"

@@ -6,9 +6,6 @@ large-m limits: pi/2 (real, p=1), sqrt(3) (real, p=2), and 2 over the
 complex field.  Trials get disjoint generator substreams derived from one
 base `RngSpec`, so a sweep is reproducible record for record (wall-clock
 columns aside) and any single trial can be replayed in isolation.
-
-Set the environment variable PRCOND_THREADS to an integer above one to run
-trials in a thread pool; the default is a serial loop.
 """
 
 from __future__ import annotations
@@ -16,19 +13,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import __version__
+from ._version import __version__
+from .closedform import _check_p
 from .core import GENERATOR_NAME, Field, RngSpec, sample_gaussian
 from .lipschitz import (
     ConditionReport,
     OptimizerConfig,
+    _injectivity_threshold,
     condition_number,
     upper_lipschitz,
 )
@@ -59,14 +56,6 @@ def asymptotic_beta(field: Field, p: int) -> float:
     return 2.0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PRCOND_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Gaussian ensemble: dimensions, norm exponent, and trial budget."""
@@ -82,9 +71,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.m < 1 or self.d < 1 or self.trials < 1:
             raise ValueError("m, d, and trials must be positive")
-        if self.p not in (1, 2):
-            raise ValueError("p must be 1 or 2")
-        floor = 2 * self.d - 1 if self.field is Field.REAL else max(4 * self.d - 4, 1)
+        _check_p(self.p)
+        floor = _injectivity_threshold(self.field, self.d)
         if self.m < floor:
             warnings.warn(
                 f"m={self.m} is below the injectivity threshold {floor} for "
@@ -195,14 +183,7 @@ def run_gaussian_sweep(cfg: ExperimentConfig) -> SweepResult:
     condition numbers (failed injectivity) are likewise excluded from the
     aggregates.
     """
-    workers = _thread_count()
-    trials = range(cfg.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(lambda t: _run_trial(cfg, t), trials))
-    else:
-        records = tuple(_run_trial(cfg, t) for t in trials)
-
+    records = tuple(_run_trial(cfg, t) for t in range(cfg.trials))
     betas = np.array([r.beta for r in records], dtype=np.float64)
     finite = betas[np.isfinite(betas)]
     failures = int(betas.size - finite.size)

@@ -13,13 +13,12 @@ d=2, p=2 all three constants are small eigenvalue problems in the planar
 coordinates of `planar`.  Everything else is nonconvex, so this module
 runs batched multi-start projected gradient (descent or ascent) on the
 constraint manifold, with a subgradient phase for the kinked p=1 objective
-and a simplex polish.  On planar matrices (d=2) results can additionally be
-bracketed by the certified grid oracle, and the returned estimate carries
-that band.
+and a simplex polish.  The ascent and the p=2 descent share one Armijo
+line search.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
-through their `method` tag, and the d=2 band is the honest substitute where
-one exists.
+through their `method` tag.  On planar matrices (d=2) the grid oracle in
+`oracle` gives the honest substitute, a certified band.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ __all__ = [
     "orthogonal_lower_bound",
     "condition_number",
     "is_tight_4_frame",
+    "estimate_to_json_dict",
     "NO_PHASE_RETRIEVAL_FLAG",
 ]
 
@@ -83,8 +83,8 @@ class LipschitzEstimate:
     """One computed constant with its witness and provenance.
 
     `witness` is a UnitPair for the two infima and a single unit vector for
-    the supremum.  `certified_band`, when present, is an interval guaranteed
-    to contain the true optimum.
+    the supremum.  `certified_band`, set only by the grid oracle in `oracle`,
+    is an interval guaranteed to contain the true optimum.
     """
 
     value: float
@@ -102,10 +102,7 @@ class OptimizerConfig:
     `subgradient_iters` applies only to the nonsmooth p=1 descent.
     `polish` enables the final simplex refinement (and, at d=2, refinement
     in the reduced planar coordinates).  At d=2, p=2 the constants are
-    solved exactly and no search knob applies.  `bracket_planar` additionally
-    attaches the certified grid-oracle band to d=2 results; it is off by
-    default because the certification sweep costs far more than the search
-    itself.
+    solved exactly and no search knob applies.
     """
 
     starts: int = 64
@@ -116,7 +113,6 @@ class OptimizerConfig:
     armijo: float = 1e-4
     subgradient_iters: int = 5000
     polish: bool = True
-    bracket_planar: bool = False
     rng: RngSpec = RngSpec(20240817, 0)
 
     def __post_init__(self) -> None:
@@ -239,45 +235,48 @@ def _nonzero_matrix(A: SensingMatrix) -> None:
 
 
 # ---------------------------------------------------------------------------
-# batched sphere ascent for U (p = 2)
+# batched Riemannian line search
 # ---------------------------------------------------------------------------
 
-def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
-    arr = A.array
-    g = cfg.rng.generator()
-    U = sample_unit(A.field, A.d, g, n=cfg.starts)
+def _sq_norms(blocks) -> np.ndarray:
+    """Row-wise squared norm of a tuple of blocks: per-block sums, then added."""
+    return sum(np.sum(np.abs(G) ** 2, axis=1) for G in blocks)
 
-    def value(Umat):
-        Y = np.abs(Umat @ arr.T) ** 2
-        return (Y * Y).sum(axis=1)
 
-    def gradient(Umat):
-        Y = Umat @ arr.T
-        return 2.0 * ((np.abs(Y) ** 2) * Y) @ arr.conj()
+def _armijo(points, value, direction, retract, sign: float, cfg: OptimizerConfig):
+    """Batched Armijo search on a manifold, one start per row of each block.
 
-    f = value(U)
-    step = np.full(cfg.starts, cfg.step_init)
-    alive = np.ones(cfg.starts, dtype=bool)
+    `points` is a tuple of (n, k) blocks: (U,) on the sphere, (U, V) for
+    pairs.  `value(*points)` gives the n objective values, and
+    `direction(points, f)` returns the values that scale the stopping test
+    together with the tangent gradient blocks.  Each trial step is mapped
+    back by `retract(*blocks)` and accepted at the Armijo point (Absil,
+    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+    sec. 4.2).  sign = +1 ascends and -1 descends.  Updates `points` in
+    place and returns the final values.
+    """
+    f = value(*points)
+    n = f.shape[0]
+    step = np.full(n, cfg.step_init)
+    alive = np.ones(n, dtype=bool)
     for _ in range(cfg.max_iters):
-        G = gradient(U)
-        # remove the full complex radial component; the objective is phase
-        # invariant, so the phase direction carries no ascent either
-        G -= np.sum(np.conj(U) * G, axis=1, keepdims=True) * U
-        gnorm2 = np.sum(np.abs(G) ** 2, axis=1).real
-        active = alive & (gnorm2 > (cfg.gradient_tolerance * (1.0 + f)) ** 2)
+        fs, grads = direction(points, f)
+        gnorm2 = _sq_norms(grads)
+        active = alive & (gnorm2 > (cfg.gradient_tolerance * (1.0 + fs)) ** 2)
         if not active.any():
             break
         step = np.minimum(step * 2.0, 1e6)
-        improved = np.zeros(cfg.starts, dtype=bool)
+        improved = np.zeros(n, dtype=bool)
         for _bt in range(40):
             trial = np.where(active & ~improved)[0]
             if trial.size == 0:
                 break
-            cand = U[trial] + step[trial, None] * G[trial]
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = value(cand)
-            ok = fc >= f[trial] + cfg.armijo * step[trial] * gnorm2[trial]
-            U[trial[ok]] = cand[ok]
+            move = sign * step[trial, None]
+            cand = retract(*(P[trial] + move * G[trial] for P, G in zip(points, grads)))
+            fc = value(*cand)
+            ok = sign * fc >= sign * f[trial] + cfg.armijo * step[trial] * gnorm2[trial]
+            for P, C in zip(points, cand):
+                P[trial[ok]] = C[ok]
             f[trial[ok]] = fc[ok]
             improved[trial[ok]] = True
             step[trial[~ok]] *= cfg.step_shrink
@@ -286,6 +285,29 @@ def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float
         alive[active & ~improved] = False
         if not improved.any():
             break
+    return f
+
+
+def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
+    arr = A.array
+    U = sample_unit(A.field, A.d, cfg.rng.generator(), n=cfg.starts)
+
+    def value(Umat):
+        Y = np.abs(Umat @ arr.T) ** 2
+        return (Y * Y).sum(axis=1)
+
+    def direction(points, f):
+        (Umat,) = points
+        Y = Umat @ arr.T
+        G = 2.0 * ((np.abs(Y) ** 2) * Y) @ arr.conj()
+        # remove the full complex radial component; the objective is phase
+        # invariant, so the phase direction carries no ascent either
+        return f, (G - np.sum(np.conj(Umat) * G, axis=1, keepdims=True) * Umat,)
+
+    def retract(Umat):
+        return (Umat / np.linalg.norm(Umat, axis=1, keepdims=True),)
+
+    f = _armijo((U,), value, direction, retract, 1.0, cfg)
     i = int(np.argmax(f))
     return float(f[i]), U[i].copy()
 
@@ -327,82 +349,53 @@ def _retract_pair(U, V, field: Field, orthogonal: bool):
 def _descend_pairs(A: SensingMatrix, p: int, orthogonal: bool, cfg: OptimizerConfig):
     arr = A.array
     g = cfg.rng.generator()
-    n = cfg.starts
-    U = sample_unit(A.field, A.d, g, n=n)
-    V = sample_unit(A.field, A.d, g, n=n)
+    U = sample_unit(A.field, A.d, g, n=cfg.starts)
+    V = sample_unit(A.field, A.d, g, n=cfg.starts)
     U, V = _retract_pair(U, V, A.field, orthogonal)
 
     def value(Umat, Vmat):
         C = (np.conj(Umat @ arr.T) * (Vmat @ arr.T)).real
         return (np.abs(C) ** p).sum(axis=1)
 
-    def gradients(Umat, Vmat):
+    def tangent(Umat, Vmat):
+        """Objective values and the projected (sub)gradient blocks."""
         Yu = Umat @ arr.T
         Yv = Vmat @ arr.T
         C = (np.conj(Yu) * Yv).real
         W = np.sign(C) if p == 1 else 2.0 * C
-        Gu = (W * Yv) @ arr.conj()
-        Gv = (W * Yu) @ arr.conj()
-        return (np.abs(C) ** p).sum(axis=1), Gu, Gv
-
-    f = value(U, V)
-    best_f = f.copy()
-    best_U, best_V = U.copy(), V.copy()
+        G = _project_pair_tangent(
+            Umat, Vmat, (W * Yv) @ arr.conj(), (W * Yu) @ arr.conj(), A.field, orthogonal
+        )
+        return (np.abs(C) ** p).sum(axis=1), G
 
     if p == 2:
-        step = np.full(n, cfg.step_init)
-        alive = np.ones(n, dtype=bool)
-        for _ in range(cfg.max_iters):
-            fv, Gu, Gv = gradients(U, V)
-            Gu, Gv = _project_pair_tangent(U, V, Gu, Gv, A.field, orthogonal)
-            gnorm2 = (np.sum(np.abs(Gu) ** 2, axis=1) + np.sum(np.abs(Gv) ** 2, axis=1)).real
-            active = alive & (gnorm2 > (cfg.gradient_tolerance * (1.0 + fv)) ** 2)
-            if not active.any():
-                break
-            step = np.minimum(step * 2.0, 1e6)
-            improved = np.zeros(n, dtype=bool)
-            for _bt in range(40):
-                trial = np.where(active & ~improved)[0]
-                if trial.size == 0:
-                    break
-                cu = U[trial] - step[trial, None] * Gu[trial]
-                cv = V[trial] - step[trial, None] * Gv[trial]
-                cu, cv = _retract_pair(cu, cv, A.field, orthogonal)
-                fc = value(cu, cv)
-                ok = fc <= f[trial] - cfg.armijo * step[trial] * gnorm2[trial]
-                U[trial[ok]], V[trial[ok]], f[trial[ok]] = cu[ok], cv[ok], fc[ok]
-                improved[trial[ok]] = True
-                step[trial[~ok]] *= cfg.step_shrink
-            # starts that exhaust the backtracking budget sit at the line
-            # search's precision floor; retire them so the loop can end
-            alive[active & ~improved] = False
-            if not improved.any():
-                break
-        best_f, best_U, best_V = f, U, V
-    else:
-        _, Gu0, Gv0 = gradients(U, V)
-        Gu0, Gv0 = _project_pair_tangent(U, V, Gu0, Gv0, A.field, orthogonal)
-        g0 = np.sqrt(np.sum(np.abs(Gu0) ** 2, axis=1) + np.sum(np.abs(Gv0) ** 2, axis=1)).real
-        scale = 0.1 * f / np.maximum(g0, 1e-30)
-        for k in range(1, cfg.subgradient_iters + 1):
-            fv, Gu, Gv = gradients(U, V)
-            Gu, Gv = _project_pair_tangent(U, V, Gu, Gv, A.field, orthogonal)
-            gn = np.sqrt(np.sum(np.abs(Gu) ** 2, axis=1) + np.sum(np.abs(Gv) ** 2, axis=1)).real
-            better = fv < best_f
-            if better.any():
-                best_f[better] = fv[better]
-                best_U[better] = U[better]
-                best_V[better] = V[better]
-            t = scale / (np.maximum(gn, 1e-30) * math.sqrt(k))
-            U = U - t[:, None] * Gu
-            V = V - t[:, None] * Gv
-            U, V = _retract_pair(U, V, A.field, orthogonal)
-        fv = value(U, V)
-        better = fv < best_f
-        best_f[better] = fv[better]
-        best_U[better] = U[better]
-        best_V[better] = V[better]
+        f = _armijo(
+            (U, V), value, lambda points, f: tangent(*points),
+            lambda Umat, Vmat: _retract_pair(Umat, Vmat, A.field, orthogonal), -1.0, cfg,
+        )
+        i = int(np.argmin(f))
+        return float(f[i]), U[i].copy(), V[i].copy()
 
+    best_f = value(U, V)
+    best_U, best_V = U.copy(), V.copy()
+    scale = 0.1 * best_f / np.maximum(np.sqrt(_sq_norms(tangent(U, V)[1])), 1e-30)
+    for k in range(1, cfg.subgradient_iters + 1):
+        fv, (Gu, Gv) = tangent(U, V)
+        gn = np.sqrt(_sq_norms((Gu, Gv)))
+        better = fv < best_f
+        if better.any():
+            best_f[better] = fv[better]
+            best_U[better] = U[better]
+            best_V[better] = V[better]
+        t = scale / (np.maximum(gn, 1e-30) * math.sqrt(k))
+        U = U - t[:, None] * Gu
+        V = V - t[:, None] * Gv
+        U, V = _retract_pair(U, V, A.field, orthogonal)
+    fv = value(U, V)
+    better = fv < best_f
+    best_f[better] = fv[better]
+    best_U[better] = U[better]
+    best_V[better] = V[better]
     i = int(np.argmin(best_f))
     return float(best_f[i]), best_U[i].copy(), best_V[i].copy()
 
@@ -517,9 +510,7 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
     p=1 reduces to the top eigenvalue of A*A, and at d=2 p=2 is a
     trust-region subproblem in the planar coordinates; both are solved
     exactly (method ClosedForm).  Otherwise p=2 runs multi-start projected
-    gradient ascent of the fourth-moment sum over the unit sphere.  With
-    `bracket_planar`, planar matrices also get the grid oracle's certified
-    band.
+    gradient ascent of the fourth-moment sum over the unit sphere.
     """
     p = _check_p(p)
     cfg = cfg or OptimizerConfig()
@@ -540,13 +531,7 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
         fbest, witness = _ascend_fourth_moment(A, cfg)
         value = fbest ** (1.0 / p)
         method = Method.MULTI_START_LOCAL
-
-    band = None
-    if A.d == 2 and cfg.bracket_planar:
-        from . import oracle
-
-        band = oracle.grid_upper_u(A, p).certified_band
-    return LipschitzEstimate(value, EstimateKind.UPPER_U, p, witness, method, band)
+    return LipschitzEstimate(value, EstimateKind.UPPER_U, p, witness, method)
 
 
 def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: bool) -> LipschitzEstimate:
@@ -577,14 +562,8 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
     constraint = Constraint.ORTHOGONAL if orthogonal else Constraint.REAL_INNER
     witness = UnitPair(A.field, u, v, constraint)
     witness.validate()
-
-    band = None
-    if A.d == 2 and cfg.bracket_planar:
-        from . import oracle
-
-        band = oracle.grid_lower_l(A, p, constraint).certified_band
     kind = EstimateKind.ORTHOGONAL_M if orthogonal else EstimateKind.LOWER_L
-    return LipschitzEstimate(value, kind, p, witness, method, band)
+    return LipschitzEstimate(value, kind, p, witness, method)
 
 
 def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:

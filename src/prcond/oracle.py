@@ -30,7 +30,7 @@ from .core import (
     RngSpec,
     SensingMatrix,
     UnitPair,
-    _restricted_nuclear,
+    _metric_routes,
     sample_gaussian,
 )
 from .lipschitz import (
@@ -57,6 +57,7 @@ __all__ = [
     "check_sub_tan",
     "mc_expectation",
     "verify_all",
+    "k_hat",
 ]
 
 
@@ -534,10 +535,8 @@ def _metric_suite(rng: np.random.Generator, pairs: int) -> SuiteResult:
                 else:
                     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                     y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                s = float(np.vdot(x, x).real + np.vdot(y, y).real)
-                c = abs(np.vdot(x, y))
-                product = math.sqrt(max(s - 2 * c, 0.0)) * math.sqrt(s + 2 * c)
-                worst = max(worst, abs(product - _restricted_nuclear(x, y)) / s)
+                s, product, eigen = _metric_routes(x, y)
+                worst = max(worst, abs(product - eigen) / s)
     return SuiteResult(
         "metric-identity", worst, 1e-10, worst <= 1e-10,
         f"product vs eigen route, {pairs} pairs, d 2..6, both fields",

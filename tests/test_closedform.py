@@ -58,6 +58,10 @@ def test_bound_sources_are_stable_tags():
 def test_bounds_reject_bad_p():
     with pytest.raises(ValueError):
         universal_lower_bound(Field.REAL, 3)
+    # a fractional p is rejected, not truncated to 1
+    with pytest.raises(ValueError):
+        universal_lower_bound(Field.REAL, 1.5)
+    assert universal_lower_bound(Field.REAL, 2.0) == universal_lower_bound(Field.REAL, 2)
 
 
 # ---------------------------------------------------------------------------

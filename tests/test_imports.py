@@ -1,0 +1,130 @@
+"""Package structure: the import graph of prcond and its exported names."""
+
+import ast
+from pathlib import Path
+
+import prcond
+from prcond import closedform, core, experiment, lipschitz, oracle
+
+PACKAGE = Path(prcond.__file__).resolve().parent
+
+EXPORTED = {
+    "BoundSpec", "CSV_HEADER", "ConditionReport", "ConsistencyError",
+    "Constraint", "ConvergenceRow", "EstimateKind", "ExperimentConfig",
+    "ExperimentRecord", "Field", "GENERATOR_NAME", "GridSpec",
+    "HarmonicConstants", "LipschitzEstimate", "McEstimate", "Method",
+    "NO_PHASE_RETRIEVAL_FLAG", "OptimizerConfig", "PolarRow", "RngSpec",
+    "SQRT3", "SensingMatrix", "SubTanCheck", "SuiteResult", "SweepResult",
+    "SweepSummary", "TailCheck", "TightFrameCheck", "UnitPair",
+    "VerificationReport", "__version__", "asymptotic_beta",
+    "check_g_min_at_one", "check_gk_closed_form", "check_lagrange_identities",
+    "check_sub_tan", "condition_number", "convergence_table", "dist_h",
+    "estimate_to_json_dict", "fourth_moment_floor", "from_polar",
+    "gaussian_abs_expectation", "grid_lower_l", "grid_upper_u",
+    "harmonic_constants", "harmonic_frame", "is_tight_4_frame", "k_hat",
+    "load_matrix", "lower_lipschitz", "matrix_from_csv", "matrix_from_dict",
+    "matrix_to_csv", "matrix_to_dict", "mc_expectation",
+    "orthogonal_lower_bound", "pair_objective", "psi_map", "records_to_csv",
+    "run_gaussian_sweep", "sample_gaussian", "sample_unit", "save_matrix",
+    "sub_tan_bound", "tail_check_two_to_four", "to_polar",
+    "two_to_four_norm_bound", "universal_lower_bound", "upper_lipschitz",
+    "upper_objective", "verify_all", "write_records_csv",
+}
+
+
+def _package_imports(source: str, modules: set[str]) -> set[str]:
+    """Modules of the package that `source` imports, at any nesting depth.
+
+    `from . import name` of something that is not a module imports the
+    package itself, named `__init__` here.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                target = node.module
+            elif (node.module or "").split(".")[0] == "prcond":
+                target = node.module.partition(".")[2]
+            else:
+                continue
+            if target:
+                found.add(target.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                top, _, rest = a.name.partition(".")
+                if top == "prcond":
+                    found.add(rest.split(".")[0] or "__init__")
+    return found
+
+
+def _import_graph() -> dict[str, set[str]]:
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {p.stem for p in paths}
+    return {p.stem: _package_imports(p.read_text(encoding="utf-8"), modules) for p in paths}
+
+
+def _find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    path: list[str] = []
+
+    def visit(node):
+        state[node] = 1
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == 1:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                cycle = visit(nxt)
+                if cycle:
+                    return cycle
+        path.pop()
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            cycle = visit(node)
+            if cycle:
+                return cycle
+    return None
+
+
+def test_parser_sees_every_form_of_package_import():
+    source = (
+        "import numpy\n"
+        "from . import planar, __version__\n"
+        "from .core import Field\n"
+        "import prcond.oracle\n"
+        "def f():\n"
+        "    from .lipschitz import condition_number\n"
+        "    from prcond import experiment\n"
+    )
+    modules = {"__init__", "core", "experiment", "lipschitz", "oracle", "planar"}
+    assert _package_imports(source, modules) == {
+        "planar", "__init__", "core", "oracle", "lipschitz", "experiment",
+    }
+
+
+def test_cycle_finder_reports_a_cycle():
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = _import_graph()
+    # the parse reaches the real imports, so an empty graph cannot pass
+    assert {"core", "closedform", "experiment", "lipschitz", "oracle"} <= graph["__init__"]
+    assert "planar" in graph["lipschitz"]
+    assert _find_cycle(graph) is None
+    assert "oracle" not in graph["lipschitz"]
+
+
+def test_exported_names_are_the_module_lists():
+    modules = (core, closedform, lipschitz, oracle, experiment)
+    assert set(prcond.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
+    assert len(prcond.__all__) == len(set(prcond.__all__))
+    for name in prcond.__all__:
+        assert getattr(prcond, name) is not None
+    assert set(prcond.__all__) == EXPORTED

@@ -173,14 +173,14 @@ def test_extra_measurements_only_grow_the_constants():
         assert upper_lipschitz(B, p, QUICK).value >= upper_lipschitz(A, p, QUICK).value - 1e-7
 
 
-def test_planar_band_attachment_is_opt_in():
-    A = sample_gaussian(Field.REAL, 5, 2, RngSpec(107, 0))
-    plain = lower_lipschitz(A, 2, QUICK)
-    assert plain.certified_band is None
-    banded = lower_lipschitz(A, 2, OptimizerConfig(starts=12, bracket_planar=True))
-    lo, hi = banded.certified_band
-    assert lo <= banded.value + 1e-9
-    assert banded.value <= hi + 1e-6 * (1.0 + hi)
+def test_solver_estimates_carry_no_certified_band():
+    # certified bands come only from the grid oracle (see test_planar.py)
+    for field in (Field.REAL, Field.COMPLEX):
+        A = sample_gaussian(field, 5, 2, RngSpec(107, 0))
+        for p in (1, 2):
+            rep = condition_number(A, p, QUICK)
+            for est in (rep.lower, rep.upper, orthogonal_lower_bound(A, p, QUICK)):
+                assert est.certified_band is None
 
 
 # ---------------------------------------------------------------------------
