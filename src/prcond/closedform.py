@@ -178,10 +178,15 @@ def sub_tan_bound(t_squares) -> float:
         raise ValueError("t_squares must be nonempty")
     if np.any(ts < 0):
         raise ValueError("t_squares must be nonnegative")
-    m = ts.size
+    return float(_sub_tan_bounds(ts[None, :])[0])
+
+
+def _sub_tan_bounds(ts: np.ndarray) -> np.ndarray:
+    """`sub_tan_bound` of each row of an (n, m) array of squared weights."""
+    m = ts.shape[1]
     if m == 1:
-        return 0.0
-    return float(ts.sum() / (m * math.tan(math.pi / (2 * m))))
+        return np.zeros(ts.shape[0])
+    return ts.sum(axis=1) / (m * math.tan(math.pi / (2 * m)))
 
 
 def _check_p(p: int) -> int:

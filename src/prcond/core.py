@@ -304,32 +304,53 @@ def psi_map(A: SensingMatrix, x: np.ndarray) -> np.ndarray:
     return np.abs(y) ** 2
 
 
-def _restricted_nuclear(x: np.ndarray, y: np.ndarray) -> float:
-    """Nuclear norm of xx* - yy* via its restriction to span{x, y}."""
-    basis = []
-    for w in (x, y):
-        r = w.astype(np.complex128, copy=True)
-        for q in basis:
-            r -= np.vdot(q, r) * q
-        nr = np.linalg.norm(r)
-        if nr > 1e-14 * (1.0 + np.linalg.norm(w)):
-            basis.append(r / nr)
-    if not basis:
-        return 0.0
-    Q = np.stack(basis, axis=1)
-    cx = Q.conj().T @ x
-    cy = Q.conj().T @ y
-    B = np.outer(cx, cx.conj()) - np.outer(cy, cy.conj())
-    ev = np.linalg.eigvalsh(B)
-    return float(np.sum(np.abs(ev)))
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise sum_k a_k b_k of two (n, d) stacks.
+
+    matmul makes one BLAS dot per row, the call np.vdot and np.linalg.norm
+    make on a single vector, so a row of the batch has the single-vector
+    value bit for bit.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _metric_routes(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """S = |x|^2 + |y|^2 and the product and eigenvalue routes to dist_h."""
-    s = float(np.vdot(x, x).real + np.vdot(y, y).real)
-    c = abs(np.vdot(x, y))
-    product = math.sqrt(max(s - 2.0 * c, 0.0)) * math.sqrt(s + 2.0 * c)
-    return s, product, _restricted_nuclear(x, y)
+def _rownorm(w: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(w):
+        return np.sqrt(_rowdot(w.real, w.real) + _rowdot(w.imag, w.imag))
+    return np.sqrt(_rowdot(w, w))
+
+
+def _unit_or_zero(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of r normalized; zero where r is negligible next to the row of w."""
+    nr = _rownorm(r)
+    keep = nr > 1e-14 * (1.0 + _rownorm(w))
+    return np.where(keep[:, None], r / np.where(keep, nr, 1.0)[:, None], 0.0)
+
+
+def _metric_routes(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S = |x|^2 + |y|^2 and the product and eigenvalue routes to dist_h.
+
+    Works row by row on (n, d) stacks of x and y.  The eigenvalue route is
+    the nuclear norm of xx* - yy* restricted to span{x, y}: Gram-Schmidt
+    gives the basis, a vector that adds no new direction gives a zero basis
+    vector (and so a zero eigenvalue), and eigvalsh takes the 2x2
+    restriction.
+    """
+    S = _rowdot(X.conj(), X).real + _rowdot(Y.conj(), Y).real
+    c = _rowdot(X.conj(), Y)
+    C = np.hypot(c.real, c.imag)
+    product = np.sqrt(np.maximum(S - 2.0 * C, 0.0)) * np.sqrt(S + 2.0 * C)
+
+    X = X.astype(np.complex128)
+    Y = Y.astype(np.complex128)
+    q1 = _unit_or_zero(X, X)
+    q2 = _unit_or_zero(Y - _rowdot(q1.conj(), Y)[:, None] * q1, Y)
+    Qh = np.stack([q1, q2], axis=2).conj().transpose(0, 2, 1)
+    cx = np.matmul(Qh, X[:, :, None])[:, :, 0]
+    cy = np.matmul(Qh, Y[:, :, None])[:, :, 0]
+    B = cx[:, :, None] * cx.conj()[:, None, :] - cy[:, :, None] * cy.conj()[:, None, :]
+    eigen = np.abs(np.linalg.eigvalsh(B)).sum(axis=1)
+    return S, product, eigen
 
 
 def dist_h(x: np.ndarray, y: np.ndarray) -> float:
@@ -346,7 +367,7 @@ def dist_h(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"vectors must share one shape, got {x.shape} and {y.shape}")
-    s, product, eigen = _metric_routes(x, y)
+    s, product, eigen = (float(r[0]) for r in _metric_routes(x[None], y[None]))
     if abs(product - eigen) > 1e-10 * max(s, 1e-300):
         raise ConsistencyError(
             f"metric routes disagree: product {product!r} vs eigen {eigen!r}"

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import planar
 from .closedform import _check_p, universal_lower_bound
@@ -416,6 +415,13 @@ def _unpack(z: np.ndarray, d: int, field: Field) -> np.ndarray:
     return z[:d]
 
 
+# A Gram-Schmidt pass that cancels all but 1/_GS_REPEAT of v leaves |<u, v>|
+# of up to about _GS_REPEAT * eps once v is normalized, so past that ratio
+# the pass is repeated (Kahan's "twice is enough", in Parlett, The Symmetric
+# Eigenvalue Problem, 1980).
+_GS_REPEAT = 1e3
+
+
 def _feasible_pair(zu, zv, d, field, orthogonal):
     u = _unpack(zu, d, field)
     nu = np.linalg.norm(u)
@@ -423,18 +429,27 @@ def _feasible_pair(zu, zv, d, field, orthogonal):
         return None
     u = u / nu
     v = _unpack(zv, d, field)
-    ip = np.vdot(u, v)
-    if orthogonal:
-        v = v - ip * u
-    elif field is Field.COMPLEX:
-        v = v - 1j * ip.imag * u
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return None
+    for _ in range(2):
+        ip = np.vdot(u, v)
+        if orthogonal:
+            v = v - ip * u
+            removed = abs(ip)
+        elif field is Field.COMPLEX:
+            v = v - 1j * ip.imag * u
+            removed = abs(ip.imag)
+        else:
+            removed = 0.0
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            return None
+        if removed <= _GS_REPEAT * nv:
+            break
     return u, v / nv
 
 
 def _polish_pair_ambient(A, p, u0, v0, orthogonal):
+    from scipy import optimize  # half a second to import; only the polish needs it
+
     d, field = A.d, A.field
     w = d if field is Field.REAL else 2 * d
 
@@ -457,6 +472,8 @@ def _polish_pair_ambient(A, p, u0, v0, orthogonal):
 
 def _polish_pair_planar(A, u0, v0, orthogonal):
     """Refine a p=1 pair in the reduced planar coordinates and rebuild it."""
+    from scipy import optimize
+
     kap, M = planar._bloch_rows(A)
     r0, y0 = planar._point_from_pair(u0, v0)
     if orthogonal:

@@ -1,6 +1,9 @@
 """Package structure: the import graph of prcond and its exported names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import prcond
@@ -128,3 +131,44 @@ def test_exported_names_are_the_module_lists():
     for name in prcond.__all__:
         assert getattr(prcond, name) is not None
     assert set(prcond.__all__) == EXPORTED
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run `code` in a new interpreter that imports this checkout of prcond."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_calls_without_a_polish_never_import_scipy_optimize():
+    # scipy.optimize takes about half a second to import; only the
+    # Nelder-Mead polish uses it
+    code = """
+import contextlib, io, sys
+import prcond, prcond.cli
+from prcond.oracle import verify_all
+assert "scipy.optimize" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert prcond.cli.main(["beta", "--m", "9", "--p", "2"]) == 0
+    assert prcond.cli.main(["oracle", "--m", "5", "--p", "1", "--grid-resolution", "64"]) == 0
+assert verify_all(metric_pairs=100, lagrange_draws=20, gk_grid_points=3, gmin_instances=2,
+                  subtan_instances=40, mc_samples=5_000).passed
+print("scipy.optimize" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_the_polish_imports_scipy_optimize():
+    code = """
+import sys
+from prcond.core import Field, RngSpec, sample_gaussian
+from prcond.lipschitz import OptimizerConfig, lower_lipschitz
+A = sample_gaussian(Field.REAL, 8, 3, RngSpec(5, 0))
+lower_lipschitz(A, 2, OptimizerConfig(starts=2, max_iters=20, polish=True))
+print("scipy.optimize" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "True"

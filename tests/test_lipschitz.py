@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from prcond import lipschitz
 from prcond.closedform import harmonic_constants, universal_lower_bound
 from prcond.core import (
     Constraint,
@@ -117,6 +118,34 @@ def test_lower_witnesses_are_feasible_and_attaining():
     assert orth.witness.constraint is Constraint.ORTHOGONAL
     assert abs(orth.witness.inner()) < 1e-10
     assert orth.kind is EstimateKind.ORTHOGONAL_M
+
+
+def test_polished_orthogonal_witness_stays_orthogonal():
+    # the ambient polish drives v nearly parallel to u here; one Gram-Schmidt
+    # pass left |<u, v>| = 8.1e-9 and validation raised "pair is not orthogonal"
+    A = sample_gaussian(Field.COMPLEX, 150, 5, RngSpec(908, 5150))
+    cfg = OptimizerConfig(starts=5, max_iters=40, subgradient_iters=100, rng=RngSpec(7, 3))
+    est = orthogonal_lower_bound(A, 2, cfg)
+    assert isinstance(est.witness, UnitPair)
+    assert est.witness.constraint is Constraint.ORTHOGONAL
+    est.witness.validate()
+    assert abs(est.witness.inner()) < 1e-13
+    assert pair_objective(A, est.witness.u, est.witness.v, 2) == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("orthogonal", [True, False])
+def test_feasible_pair_reorthogonalizes_nearly_parallel_vectors(orthogonal):
+    # one pass leaves |<u, v>| and |Im<u, v>| near 5e-8 on this input
+    rng = RngSpec(3, 0).generator()
+    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v = 0.7j * u + 1e-9 * w
+    pair = lipschitz._feasible_pair(
+        lipschitz._pack(u, Field.COMPLEX), lipschitz._pack(v, Field.COMPLEX), 4, Field.COMPLEX, orthogonal
+    )
+    ip = np.vdot(*pair)
+    assert abs(ip if orthogonal else ip.imag) < 1e-13
+    UnitPair(Field.COMPLEX, *pair, Constraint.ORTHOGONAL if orthogonal else Constraint.REAL_INNER).validate()
 
 
 def test_orthogonal_restriction_never_helps():

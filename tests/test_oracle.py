@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from prcond import oracle
 from prcond.closedform import harmonic_constants, sub_tan_bound
 from prcond.core import (
     Constraint,
     Field,
     RngSpec,
     SensingMatrix,
+    _metric_routes,
+    dist_h,
     harmonic_frame,
     sample_gaussian,
 )
@@ -498,3 +501,100 @@ def test_verify_all_is_reproducible():
     a = verify_all(rng=RngSpec(7, 7), **kw)
     b = verify_all(rng=RngSpec(7, 7), **kw)
     assert [s.max_residual for s in a.suites] == [s.max_residual for s in b.suites]
+
+
+# The batched suites against loops over the scalar checkers: same draws from
+# the same stream, same worst residual, verdict and evaluation count.
+
+def _count(detail: str) -> int:
+    return int(next(w for w in detail.replace(",", " ").split() if w.isdigit()))
+
+
+def test_metric_suite_matches_pair_by_pair_routes(monkeypatch):
+    pairs = 70
+    seen = []
+
+    def routes(X, Y):
+        seen.extend(zip(X, Y))
+        return _metric_routes(X, Y)
+
+    monkeypatch.setattr(oracle, "_metric_routes", routes)
+    got = oracle._metric_suite(RngSpec(5, 9).generator(), pairs)
+    rng = RngSpec(5, 9).generator()
+    worst, count = 0.0, 0
+    for field in (Field.REAL, Field.COMPLEX):
+        for d in range(2, 7):
+            for _ in range(pairs // 10):
+                if field is Field.REAL:
+                    x, y = rng.standard_normal(d), rng.standard_normal(d)
+                else:
+                    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                # the suite saw the same pairs in the same order
+                assert np.array_equal(seen[count][0], x) and np.array_equal(seen[count][1], y)
+                s, product, eigen = (float(r[0]) for r in _metric_routes(x[None], y[None]))
+                assert dist_h(x, y) == product
+                # the restricted 2x2 route against the full d x d operator
+                full = np.outer(x, x.conj()) - np.outer(y, y.conj())
+                assert eigen == pytest.approx(np.abs(np.linalg.eigvalsh(full)).sum(), abs=1e-12 * s)
+                worst = max(worst, abs(product - eigen) / s)
+                count += 1
+    assert abs(got.max_residual - worst) <= 1e-15
+    assert got.passed == (worst <= 1e-10)
+    assert _count(got.detail) == count == len(seen) == 70
+
+
+def test_metric_suite_reports_the_pairs_it_draws():
+    assert _count(oracle._metric_suite(RngSpec(1, 0).generator(), 7).detail) == 10
+    assert _count(oracle._metric_suite(RngSpec(1, 0).generator(), 25).detail) == 20
+
+
+def test_gk_suite_matches_the_scalar_checker():
+    grid_points = 5
+    got = oracle._gk_suite(grid_points)
+    worst, count = 0.0, 0
+    for m in range(3, 17):
+        axis = np.linspace(0.0, math.pi / m, grid_points)
+        for theta in axis:
+            for phi in axis:
+                for k in range(k_hat(m, phi) + 1):
+                    worst = max(worst, check_gk_closed_form(m, k, theta, phi))
+                    count += 1
+    assert abs(got.max_residual - worst) <= 1e-15
+    assert got.passed == (worst <= 1e-10)
+    assert _count(got.detail) == count
+
+
+def test_gk_suite_counts_every_admissible_triple_at_the_default_grid():
+    count = sum(
+        32 * (k_hat(m, phi) + 1)
+        for m in range(3, 17)
+        for phi in np.linspace(0.0, math.pi / m, 32)
+    )
+    assert count == 68_096
+    assert _count(oracle._gk_suite(32).detail) == count
+
+
+@pytest.mark.parametrize("zero_bound", [False, True])
+def test_subtan_suite_matches_the_scalar_checker(zero_bound, monkeypatch):
+    if zero_bound:
+        # the true bound always holds, so the reported excess is 0 on both
+        # sides; a zero bound makes it the largest minimum and fails the verdict
+        monkeypatch.setattr(oracle.closedform, "sub_tan_bound", lambda ts: 0.0)
+        monkeypatch.setattr(oracle.closedform, "_sub_tan_bounds", lambda ts: np.zeros(len(ts)))
+    instances = 300
+    got = oracle._subtan_suite(RngSpec(8, 2).generator(), instances)
+    rng = RngSpec(8, 2).generator()
+    worst, holds = -math.inf, True
+    for _ in range(instances):
+        m = int(rng.integers(1, 33))
+        phis = np.sort(rng.uniform(0.0, math.pi, m))
+        ts = rng.uniform(0.0, 1.0, m)
+        res = check_sub_tan(phis, ts)
+        holds = holds and res.holds
+        worst = max(worst, res.min_value - res.bound)
+    assert abs(got.max_residual - max(worst, 0.0)) <= 1e-15
+    assert got.passed == holds
+    assert holds is not zero_bound
+    assert (got.max_residual > 0.5) == zero_bound
+    assert _count(got.detail) == instances
