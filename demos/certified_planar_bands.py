@@ -1,12 +1,13 @@
-"""Certified bands at d = 2: the grid oracle brackets the local solver.
+"""Certified bands at d = 2: the grid oracle brackets the exact solver.
 
 For planar matrices the trigonometric reformulation of both extremal
 problems lets a refined grid search certify an interval that provably
 contains each true constant.  This script draws one random complex 2-column
-matrix, runs the solver (multi-start at p = 1, exact eigen-solves at p = 2)
-and the certified oracle side by side, and prints where each solver value
-lands inside its band, including the orthogonality gap that opens between
-the restricted and unrestricted lower constants.
+matrix, runs the solver (exact at d = 2: vertex enumeration for L and M at
+p = 1, eigen-solves for the rest) and the certified oracle side by side,
+and prints where each solver value lands inside its band, including the
+orthogonality gap that opens between the restricted and unrestricted lower
+constants.
 
 Run:  python3 demos/certified_planar_bands.py [--m 7] [--seed 11]
 """
@@ -14,12 +15,7 @@ Run:  python3 demos/certified_planar_bands.py [--m 7] [--seed 11]
 import argparse
 
 from prcond.core import Constraint, Field, RngSpec, sample_gaussian
-from prcond.lipschitz import (
-    OptimizerConfig,
-    lower_lipschitz,
-    orthogonal_lower_bound,
-    upper_lipschitz,
-)
+from prcond.lipschitz import lower_lipschitz, orthogonal_lower_bound, upper_lipschitz
 from prcond.oracle import GridSpec, grid_lower_l, grid_upper_u
 
 
@@ -36,21 +32,20 @@ def main() -> None:
     args = ap.parse_args()
 
     A = sample_gaussian(Field.COMPLEX, args.m, 2, RngSpec(args.seed, 0))
-    cfg = OptimizerConfig(starts=16, max_iters=300, subgradient_iters=2000)
     grid = GridSpec()
 
     print(f"random complex {args.m} x 2 matrix, seed {args.seed}")
     for p in (1, 2):
         print(f"p = {p}:")
-        low = lower_lipschitz(A, p, cfg)
+        low = lower_lipschitz(A, p)
         glow = grid_lower_l(A, p, grid=grid)
         show("lower L (solver)", low.value, glow.certified_band)
 
-        orth = orthogonal_lower_bound(A, p, cfg)
+        orth = orthogonal_lower_bound(A, p)
         gorth = grid_lower_l(A, p, constraint=Constraint.ORTHOGONAL, grid=grid)
         show("orthogonal M (solver)", orth.value, gorth.certified_band)
 
-        up = upper_lipschitz(A, p, cfg)
+        up = upper_lipschitz(A, p)
         gup = grid_upper_u(A, p, grid=grid)
         show("upper U (solver)", up.value, gup.certified_band)
 

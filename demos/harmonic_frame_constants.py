@@ -3,8 +3,8 @@
 The m equiangular unit vectors on the upper semicircle give the best-known
 planar sensing matrices.  Their optimal Lipschitz constants have exact
 expressions at p = 1 and p = 2, so they make a sharp end-to-end check of the
-multi-start solver: every printed residual should sit at solver accuracy,
-far below the constants themselves.
+solver, which is exact at d = 2: every printed residual should sit at
+rounding level, far below the constants themselves.
 
 Run:  python3 demos/harmonic_frame_constants.py [--m-max 12]
 """
@@ -14,11 +14,7 @@ import math
 
 from prcond.closedform import harmonic_constants
 from prcond.core import harmonic_frame
-from prcond.lipschitz import (
-    OptimizerConfig,
-    condition_number,
-    orthogonal_lower_bound,
-)
+from prcond.lipschitz import condition_number, orthogonal_lower_bound
 
 
 def main() -> None:
@@ -26,7 +22,6 @@ def main() -> None:
     ap.add_argument("--m-max", type=int, default=12, help="largest frame size")
     args = ap.parse_args()
 
-    cfg = OptimizerConfig(starts=12, max_iters=300, subgradient_iters=1500)
     print("harmonic frames: solver vs closed forms")
     print(f"{'m':>3} {'p':>2} {'L':>12} {'U':>12} {'beta':>12} "
           f"{'dL':>9} {'dU':>9} {'dbeta':>9} {'dM':>9}")
@@ -34,8 +29,8 @@ def main() -> None:
         frame = harmonic_frame(m)
         for p in (1, 2):
             exact = harmonic_constants(m, p)
-            rep = condition_number(frame, p, cfg)
-            orth = orthogonal_lower_bound(frame, p, cfg)
+            rep = condition_number(frame, p)
+            orth = orthogonal_lower_bound(frame, p)
             print(
                 f"{m:>3} {p:>2} {rep.L:>12.8f} {rep.U:>12.8f} {rep.beta:>12.8f} "
                 f"{abs(rep.L - exact.L):>9.1e} {abs(rep.U - exact.U):>9.1e} "

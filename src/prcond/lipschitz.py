@@ -8,17 +8,18 @@ The three quantities of interest for a sensing matrix A and p in {1, 2} are
     M = the same infimum restricted to <u, v> = 0,
 
 and the condition number beta = U / L.  Two cases are solved exactly
-(method ClosedForm): U at p=1 is the largest eigenvalue of A*A, and at
-d=2, p=2 all three constants are small eigenvalue problems in the planar
-coordinates of `planar`.  Everything else is nonconvex, so this module
-runs batched multi-start projected gradient (descent or ascent) on the
-constraint manifold, with a subgradient phase for the kinked p=1 objective
-and a simplex polish.  The ascent and the p=2 descent share one Armijo
-line search.
+(method ClosedForm): U at p=1 is the largest eigenvalue of A*A, and on
+planar matrices (d=2) every constant comes from the planar coordinates of
+`planar`, by small eigenvalue problems at p=2 and by enumerating the
+vertices of a piecewise-linear objective for L and M at p=1.  Everything
+else is nonconvex, so this module runs batched multi-start projected
+gradient (descent or ascent) on the constraint manifold, with a
+subgradient phase for the kinked p=1 objective and a simplex polish.  The
+ascent and the p=2 descent share one Armijo line search.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
-through their `method` tag.  On planar matrices (d=2) the grid oracle in
-`oracle` gives the honest substitute, a certified band.
+through their `method` tag.  On planar matrices the grid oracle in `oracle`
+gives an independent check, a certified band.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ class OptimizerConfig:
     """Knobs for the multi-start searches.
 
     `subgradient_iters` applies only to the nonsmooth p=1 descent.
-    `polish` enables the final simplex refinement (and, at d=2, refinement
-    in the reduced planar coordinates).  At d=2, p=2 the constants are
-    solved exactly and no search knob applies.
+    `polish` enables the final simplex refinement.  At d=2 every constant
+    is solved exactly and no search knob applies.
     """
 
     starts: int = 64
@@ -470,53 +470,6 @@ def _polish_pair_ambient(A, p, u0, v0, orthogonal):
     return float(res.fun), pair[0], pair[1]
 
 
-def _polish_pair_planar(A, u0, v0, orthogonal):
-    """Refine a p=1 pair in the reduced planar coordinates and rebuild it."""
-    from scipy import optimize
-
-    kap, M = planar._bloch_rows(A)
-    r0, y0 = planar._point_from_pair(u0, v0)
-    if orthogonal:
-        r0 = 0.0
-
-    if A.field is Field.REAL:
-        xi0 = math.atan2(y0[1], y0[0])
-
-        def fobj(z):
-            r = 0.0 if orthogonal else min(max(z[0], 0.0), 1.0)
-            y = np.array([math.cos(z[-1]), math.sin(z[-1]), 0.0])
-            return float((kap * np.abs(r + M @ y)).sum())
-
-        z0 = np.array([xi0]) if orthogonal else np.array([r0, xi0])
-    else:
-        th0 = math.acos(min(max(y0[0], -1.0), 1.0))
-        ga0 = math.atan2(y0[2], y0[1])
-
-        def fobj(z):
-            r = 0.0 if orthogonal else min(max(z[0], 0.0), 1.0)
-            th, ga = z[-2], z[-1]
-            y = np.array(
-                [math.cos(th), math.sin(th) * math.cos(ga), math.sin(th) * math.sin(ga)]
-            )
-            return float((kap * np.abs(r + M @ y)).sum())
-
-        z0 = np.array([th0, ga0]) if orthogonal else np.array([r0, th0, ga0])
-
-    res = optimize.minimize(
-        fobj, z0, method="Nelder-Mead",
-        options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000, "maxfev": 4000},
-    )
-    z = res.x
-    r = 0.0 if orthogonal else min(max(z[0], 0.0), 1.0)
-    if A.field is Field.REAL:
-        y = np.array([math.cos(z[-1]), math.sin(z[-1]), 0.0])
-    else:
-        th, ga = z[-2], z[-1]
-        y = np.array([math.cos(th), math.sin(th) * math.cos(ga), math.sin(th) * math.sin(ga)])
-    u, v = planar._pair_from_point(r, y, A.field)
-    return float(res.fun), u, v
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -557,20 +510,18 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
     if orthogonal and A.d < 2:
         raise ValueError("orthogonal pairs need dimension d >= 2")
 
-    if p == 2 and A.d == 2:
-        square, u, v = planar.exact_lower_p2(A, orthogonal)
+    if A.d == 2:
+        solve = planar.exact_lower_p1 if p == 1 else planar.exact_lower_p2
+        power, u, v = solve(A, orthogonal)
         value = pair_objective(A, u, v, p)
-        planar._check_witness(square, value ** 2, "exact planar lower")
+        planar._check_witness(power, value ** p, "exact planar lower")
         method = Method.CLOSED_FORM
     else:
         fbest, u, v = _descend_pairs(A, p, orthogonal, cfg)
         if cfg.polish:
-            candidates = [_polish_pair_ambient(A, p, u, v, orthogonal)]
-            if A.d == 2:
-                candidates.append(_polish_pair_planar(A, u, v, orthogonal))
-            for cand in candidates:
-                if cand is not None and cand[0] < fbest:
-                    fbest, u, v = cand
+            cand = _polish_pair_ambient(A, p, u, v, orthogonal)
+            if cand is not None and cand[0] < fbest:
+                fbest, u, v = cand
         value = fbest ** (1.0 / p)
         method = Method.MULTI_START_LOCAL
 
@@ -586,15 +537,14 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
 def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:
     """The optimal lower constant L over pairs with real inner product.
 
-    At d=2, p=2, L^2 is the smallest eigenvalue of a 2x2 (real) or 3x3
-    (complex) matrix in the planar coordinates, solved exactly (method
-    ClosedForm) whatever the search settings.  Otherwise it runs multi-start
-    projected gradient on the product of unit spheres, with the tangent
-    projection additionally cancelling motion that would violate
-    Im<u, v> = 0 (vacuous over the reals).  p=1 uses diminishing-step
-    subgradient descent followed by a simplex polish; at d=2 the polish runs
-    in the reduced planar coordinates, which is where the final accuracy
-    comes from.
+    At d=2 it is solved exactly (method ClosedForm) whatever the search
+    settings: at p=2, L^2 is the smallest eigenvalue of a 2x2 (real) or 3x3
+    (complex) matrix in the planar coordinates, and at p=1, L is the least
+    value over the finitely many vertices of `planar.exact_lower_p1`.
+    Otherwise it runs multi-start projected gradient on the product of unit
+    spheres, with the tangent projection additionally cancelling motion
+    that would violate Im<u, v> = 0 (vacuous over the reals).  p=1 uses
+    diminishing-step subgradient descent; both p end with a simplex polish.
     """
     return _lower_estimate(A, p, cfg or OptimizerConfig(), orthogonal=False)
 
@@ -602,7 +552,7 @@ def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
 def orthogonal_lower_bound(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:
     """The infimum M over orthogonal unit pairs; never below L.
 
-    Solved like `lower_lipschitz`, exactly at d=2, p=2.
+    Solved like `lower_lipschitz`, exactly at d=2.
     """
     return _lower_estimate(A, p, cfg or OptimizerConfig(), orthogonal=True)
 

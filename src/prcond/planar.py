@@ -1,4 +1,4 @@
-"""Planar coordinates of the Lipschitz problems and their exact p=2 solutions.
+"""Planar coordinates of the Lipschitz problems and their exact solutions.
 
 At d=2 every measurement's rank-one matrix has coordinates kappa_i (half
 the squared row norm) and a unit 3-vector m_i, and every feasible unit pair
@@ -23,6 +23,10 @@ kp = kappa^2, Q = sum kp_i m_i m_i^T, b = sum kp_i m_i and S = sum kp_i,
 the last a trust-region subproblem on the sphere.  Over the reals only the
 two equatorial coordinates take part: the third is identically zero there,
 so the full 3x3 lambda_min would be 0.
+
+At p=1 the lower objective sum kappa_i |r + <m_i, y>| is piecewise linear,
+and its minimum sits at one of finitely many vertices, which
+`exact_lower_p1` enumerates.  (U at p=1 is an eigenvalue in any dimension.)
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .core import ConsistencyError, Field, SensingMatrix
 
-__all__ = ["exact_lower_p2", "exact_upper_p2"]
+__all__ = ["exact_lower_p1", "exact_lower_p2", "exact_upper_p2"]
 
 
 def _bloch_rows(A: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -99,24 +103,6 @@ def _pair_from_point(r: float, y: np.ndarray, field: Field) -> tuple[np.ndarray,
     if abs(sv[0] - 1.0) > 1e-10 or sv[1] > 1e-10:
         raise ConsistencyError(f"reconstructed pair matrix is not rank one: {sv}")
     return Vh[0].conj(), W[:, 0]
-
-
-def _point_from_pair(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Planar coordinates (r, y) of a unit pair; r is folded into [0, 1]."""
-    M = np.outer(v, np.conj(u))
-    r = float(np.trace(M).real)
-    c1 = (M[0, 0] - M[1, 1]) / 2.0
-    c2 = (M[0, 1] + M[1, 0]) / 2.0
-    c3 = (M[0, 1] - M[1, 0]) / 2j
-    y = 2.0 * np.array([c1.real, c2.real, c3.real])
-    n = np.linalg.norm(y)
-    if n > 0:
-        y = y / n
-    else:
-        y = np.array([1.0, 0.0, 0.0])
-    if r < 0:
-        return -r, -y
-    return r, y
 
 
 def _check_witness(value: float, direct: float, what: str) -> None:
@@ -214,3 +200,85 @@ def exact_upper_p2(A: SensingMatrix) -> tuple[float, np.ndarray]:
     Q, b, S = _p2_data(A)
     w = _sphere_max(Q, b)
     return S + float(w @ Q @ w + 2.0 * b @ w), _bloch_vector(_on_sphere(w), A.field)
+
+
+# ---------------------------------------------------------------------------
+# exact p = 1 enumeration
+# ---------------------------------------------------------------------------
+
+# Candidates are evaluated in chunks of at most this many candidate-row
+# terms (or one candidate, if m is larger), so the O(m^4) complex
+# enumeration runs in bounded memory.
+_CHUNK = 1 << 20
+
+
+def exact_lower_p1(A: SensingMatrix, orthogonal: bool) -> tuple[float, np.ndarray, np.ndarray]:
+    """The exact p=1 lower constant of a planar matrix, and a pair.
+
+    Returns (L, u, v), or (M, u, v) with <u, v> = 0 when `orthogonal`, by
+    evaluating f(r, y) = sum kappa_i |r + <m_i, y>| at every candidate
+    minimizer.  For fixed y, f is convex and piecewise linear in r, so the
+    best r is 0, 1 or a kink r = -<m_i, y>:
+
+    - at r = 0 (all of M), f = sum kappa_j |<m_j, y>| is linear on each
+      sign cell of the sphere and, where positive, concave along it, so its
+      minimum is at a cell vertex y = unit(m_j x m_k);
+    - at r = 1 no term changes sign, and the minimum is y = -b/|b| with
+      b = sum kappa_i m_i;
+    - on the kink surface of row i, f = sum kappa_j |<n_j, y>| with
+      n = m - m_i, minimized at a vertex unit(n_j x n_k) in the same way.
+
+    Over the reals y stays on the equator, where a vertex is the in-plane
+    normal unit(n_j x e_2) of one n_j.  When all nonzero n_j are parallel
+    there are no vertices, so the points unit(n_j x e_l) on each plane
+    <n_j, y> = 0, and e_0 in place of every zero cross product, keep such
+    degenerate rows at f = 0.  At r = 0 and on each kink surface f is even
+    in y, so one sign of each vertex suffices; and f(r, y) = f(-r, -y), so
+    a kink point with r < 0 folds to (-r, -y).
+
+    The work is O(m^3) flops for real matrices and O(m^4) for complex ones.
+    Against the default multi-start search (OptimizerConfig()) on a 2-CPU
+    VM with one BLAS thread, it was faster at every size tried up to m = 1500 real
+    (15 s against 21 s) and m = 160 complex (3.3 s against 4.2 s), and
+    slower from m = 2000 real (40 s against 34 s) and m = 200 complex
+    (5.6 s against 5.4 s).
+    """
+    kap, M = _bloch_rows(A)
+    m = M.shape[0]
+    axes = np.eye(3)[2:] if A.field is Field.REAL else np.eye(3)
+    # each candidate is unit(v_a x v_b) for rows a < b of V = [n_0 .. n_{m-1}; axes]
+    ja, jb = np.triu_indices(m + len(axes), 1)
+    keep = (ja < m) & ((jb >= m) | (A.field is Field.COMPLEX))
+    ja, jb = ja[keep], jb[keep]
+    # the origin stands for the r = 0 slice, each row for its kink surface
+    centres = np.zeros((1, 3)) if orthogonal else np.vstack([np.zeros(3), M])
+    best = (math.inf, 0.0, axes[0])
+    if not orthogonal:
+        b = M.T @ kap
+        nb = float(np.linalg.norm(b))
+        y = -b / nb if nb > 0 else np.array([1.0, 0.0, 0.0])
+        best = (float(kap @ np.abs(1.0 + M @ y)), 1.0, y)
+    width = max(1, _CHUNK // m)   # candidates per evaluation
+    step = max(1, width // ja.size)
+    for s in range(0, len(centres), step):
+        C = centres[s : s + step]
+        V = np.concatenate([M[None] - C[:, None], np.broadcast_to(axes, (len(C),) + axes.shape)], 1)
+        for t in range(0, ja.size, width):
+            Y = np.cross(V[:, ja[t : t + width]], V[:, jb[t : t + width]])
+            norm = np.linalg.norm(Y, axis=2)
+            Y[norm == 0] = (1.0, 0.0, 0.0)
+            Y /= np.where(norm == 0, 1.0, norm)[..., None]
+            R = -np.einsum("ckx,cx->ck", Y, C)
+            flip = R < 0
+            R[flip] = -R[flip]
+            Y[flip] = -Y[flip]
+            np.minimum(R, 1.0, out=R)
+            T = Y @ M.T
+            T += R[..., None]
+            F = np.abs(T, out=T) @ kap
+            i = np.unravel_index(np.argmin(F), F.shape)
+            if F[i] < best[0]:
+                best = (float(F[i]), float(R[i]), Y[i].copy())
+    value, r, y = best
+    u, v = _pair_from_point(r, y, A.field)
+    return value, u, v

@@ -146,7 +146,7 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_cli_calls_without_a_polish_never_import_scipy_optimize():
     # scipy.optimize takes about half a second to import; only the
-    # Nelder-Mead polish uses it
+    # Nelder-Mead polish uses it, and no planar constant runs it
     code = """
 import contextlib, io, sys
 import prcond, prcond.cli
@@ -154,6 +154,9 @@ from prcond.oracle import verify_all
 assert "scipy.optimize" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert prcond.cli.main(["beta", "--m", "9", "--p", "2"]) == 0
+    assert prcond.cli.main(["beta", "--m", "7", "--p", "1"]) == 0
+    # widened to complex the harmonic frame loses injectivity: exit 3
+    assert prcond.cli.main(["beta", "--m", "7", "--p", "1", "--field", "complex"]) == 3
     assert prcond.cli.main(["oracle", "--m", "5", "--p", "1", "--grid-resolution", "64"]) == 0
 assert verify_all(metric_pairs=100, lagrange_draws=20, gk_grid_points=3, gmin_instances=2,
                   subtan_instances=40, mc_samples=5_000).passed

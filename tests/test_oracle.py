@@ -21,6 +21,7 @@ from prcond.core import (
 from prcond.lipschitz import (
     EstimateKind,
     Method,
+    is_tight_4_frame,
     lower_lipschitz,
     orthogonal_lower_bound,
     pair_objective,
@@ -264,19 +265,28 @@ def test_derived_planar_minima_match_external_search(case):
         assert est.value <= want + 5e-5
 
 
-@pytest.mark.parametrize("case", range(len(_DERIVED_TRIALS)))
-def test_derived_planar_minima_match_exact_p2(case):
+def _check_exact_against_derived(case, p):
     rows, expected = _DERIVED_TRIALS[case]
     matrix = SensingMatrix.from_vectors(Field.COMPLEX, rows)
     for label, fun in (("free", lower_lipschitz), ("orth", orthogonal_lower_bound)):
-        est = fun(matrix, 2)
+        est = fun(matrix, p)
         assert est.method is Method.CLOSED_FORM
         # the exact infimum never exceeds a feasible external value and
         # sits inside the certified band
-        assert est.value <= expected[(2, label)] + 1e-8
-        assert est.value == pytest.approx(expected[(2, label)], abs=5e-5)
-        lo, hi = _derived_estimate(case, 2, label).certified_band
+        assert est.value <= expected[(p, label)] + 1e-8
+        assert est.value == pytest.approx(expected[(p, label)], abs=5e-5)
+        lo, hi = _derived_estimate(case, p, label).certified_band
         assert lo - 1e-12 <= est.value <= hi + 1e-12
+
+
+@pytest.mark.parametrize("case", range(len(_DERIVED_TRIALS)))
+def test_derived_planar_minima_match_exact_p2(case):
+    _check_exact_against_derived(case, 2)
+
+
+@pytest.mark.parametrize("case", range(len(_DERIVED_TRIALS)))
+def test_derived_planar_minima_match_exact_p1(case):
+    _check_exact_against_derived(case, 1)
 
 
 @pytest.mark.parametrize("case", range(len(_DERIVED_TRIALS)))
@@ -393,6 +403,19 @@ def test_g_min_validates_the_pair():
         check_g_min_at_one(A, 2.0 * x, np.array([0.0, 1.0]), [1.0])
     with pytest.raises(ValueError):
         check_g_min_at_one(A, x, x, [1.0])
+
+
+def test_g_min_suite_probes_tightness_once_per_m(monkeypatch):
+    probed = []
+
+    def probe(A, *args, **kwargs):
+        probed.append(A.m)
+        return is_tight_4_frame(A, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "is_tight_4_frame", probe)
+    result = oracle._gmin_suite(RngSpec(607, 0).generator(), 60)
+    assert result.passed
+    assert len(probed) == len(set(probed)) and 3 <= len(probed) <= 10
 
 
 # ---------------------------------------------------------------------------
