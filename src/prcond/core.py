@@ -3,8 +3,8 @@
 Everything downstream works with a sensing matrix A over a tagged scalar
 field and the nonlinear measurement map x -> |Ax|^2.  This module owns the
 matrix and vector containers, the harmonic frame and Gaussian samplers, the
-rank-two quotient metric, the polar row decomposition used by the planar
-(d=2) machinery, and matrix file input/output.
+rank-two quotient metric, the polar row decomposition, and matrix file
+input/output.
 
 Conventions.  A stored row, applied to x by a plain dot product, produces
 the measurement <a_j, x> = sum_k conj(a_jk) x_k; the stored row is therefore

@@ -19,14 +19,16 @@ ascent and the p=2 descent share one Armijo line search.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
 through their `method` tag.  On planar matrices the grid oracle in `oracle`
-gives an independent check, a certified band.
+gives an independent check, a certified band.  Every solve runs on the
+matrix rescaled by a power of two into unit size (`_unit_scale`), so the
+results do not depend on the matrix's scale.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,19 +99,18 @@ class LipschitzEstimate:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start searches.
+    """Settings of the multi-start searches: five fields.
 
-    `subgradient_iters` applies only to the nonsmooth p=1 descent.
-    `polish` enables the final simplex refinement.  At d=2 every constant
-    is solved exactly and no search knob applies.
+    `starts` is the number of random starts, `max_iters` the iteration
+    budget of the Armijo ascent and p=2 descent, `subgradient_iters` that of
+    the nonsmooth p=1 descent, `polish` enables the final simplex
+    refinement, and `rng` pins the starts.  The line-search settings are
+    module constants next to `_armijo`.  At d=2 every constant is solved
+    exactly and no search setting applies.
     """
 
     starts: int = 64
     max_iters: int = 500
-    gradient_tolerance: float = 1e-10
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     subgradient_iters: int = 5000
     polish: bool = True
     rng: RngSpec = RngSpec(20240817, 0)
@@ -119,10 +120,6 @@ class OptimizerConfig:
             raise ValueError("starts must be at least 1")
         if self.max_iters < 1 or self.subgradient_iters < 1:
             raise ValueError("iteration budgets must be positive")
-        if min(self.gradient_tolerance, self.step_init, self.armijo) <= 0:
-            raise ValueError("tolerances and step parameters must be positive")
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -233,6 +230,28 @@ def _nonzero_matrix(A: SensingMatrix) -> None:
         raise ValueError("all-zero sensing matrix has no condition number")
 
 
+# L, M and U scale by c^2 under A -> cA, but the searches and the oracle stop
+# on absolute tolerances that hold only near unit scale.  So a matrix whose
+# largest |entry| lies outside [1/16, 16) is solved as A * 2^-k, with k the
+# nearest integer to log2 of that entry, and its constants are multiplied by
+# 4^k.  Powers of two scale exactly, so the witnesses do not change.
+def _unit_scale(A: SensingMatrix) -> tuple[SensingMatrix, int]:
+    """A moved into the unit window, and the k that moves its constants back."""
+    top = float(np.abs(A.array).max())
+    if top == 0.0 or 1.0 / 16.0 <= top < 16.0:
+        return A, 0
+    k = round(math.log2(top))
+    return SensingMatrix(A.field, np.ldexp(A.array.view(np.float64), -k).view(A.array.dtype)), k
+
+
+def _rescaled(e: LipschitzEstimate, k: int) -> LipschitzEstimate:
+    """An estimate of A * 2^-k turned into one of A: value and band times 4^k."""
+    if k == 0:
+        return e
+    band = e.certified_band and tuple(float(np.ldexp(b, 2 * k)) for b in e.certified_band)
+    return replace(e, value=float(np.ldexp(e.value, 2 * k)), certified_band=band)
+
+
 # ---------------------------------------------------------------------------
 # batched Riemannian line search
 # ---------------------------------------------------------------------------
@@ -242,26 +261,34 @@ def _sq_norms(blocks) -> np.ndarray:
     return sum(np.sum(np.abs(G) ** 2, axis=1) for G in blocks)
 
 
-def _armijo(points, value, direction, retract, sign: float, cfg: OptimizerConfig):
+# Line-search settings: the stopping test on the tangent gradient norm
+# (relative to 1 + f), the first trial step, the backtracking factor and the
+# Armijo sufficient-increase constant.
+_GRADIENT_TOL = 1e-10
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_ARMIJO = 1e-4
+
+
+def _armijo(points, value, tangent, retract, sign: float, max_iters: int):
     """Batched Armijo search on a manifold, one start per row of each block.
 
     `points` is a tuple of (n, k) blocks: (U,) on the sphere, (U, V) for
     pairs.  `value(*points)` gives the n objective values, and
-    `direction(points, f)` returns the values that scale the stopping test
-    together with the tangent gradient blocks.  Each trial step is mapped
-    back by `retract(*blocks)` and accepted at the Armijo point (Absil,
-    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
-    sec. 4.2).  sign = +1 ascends and -1 descends.  Updates `points` in
-    place and returns the final values.
+    `tangent(*points)` returns them together with the tangent gradient
+    blocks.  Each trial step is mapped back by `retract(*blocks)` and
+    accepted at the Armijo point (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008, sec. 4.2).  sign = +1 ascends and
+    -1 descends.  Updates `points` in place and returns the final values.
     """
     f = value(*points)
     n = f.shape[0]
-    step = np.full(n, cfg.step_init)
+    step = np.full(n, _STEP_INIT)
     alive = np.ones(n, dtype=bool)
-    for _ in range(cfg.max_iters):
-        fs, grads = direction(points, f)
+    for _ in range(max_iters):
+        fs, grads = tangent(*points)
         gnorm2 = _sq_norms(grads)
-        active = alive & (gnorm2 > (cfg.gradient_tolerance * (1.0 + fs)) ** 2)
+        active = alive & (gnorm2 > (_GRADIENT_TOL * (1.0 + fs)) ** 2)
         if not active.any():
             break
         step = np.minimum(step * 2.0, 1e6)
@@ -273,12 +300,12 @@ def _armijo(points, value, direction, retract, sign: float, cfg: OptimizerConfig
             move = sign * step[trial, None]
             cand = retract(*(P[trial] + move * G[trial] for P, G in zip(points, grads)))
             fc = value(*cand)
-            ok = sign * fc >= sign * f[trial] + cfg.armijo * step[trial] * gnorm2[trial]
+            ok = sign * fc >= sign * f[trial] + _ARMIJO * step[trial] * gnorm2[trial]
             for P, C in zip(points, cand):
                 P[trial[ok]] = C[ok]
             f[trial[ok]] = fc[ok]
             improved[trial[ok]] = True
-            step[trial[~ok]] *= cfg.step_shrink
+            step[trial[~ok]] *= _STEP_SHRINK
         # a start whose whole backtracking round failed is at the precision
         # floor of the line search; retire it instead of rescanning forever
         alive[active & ~improved] = False
@@ -295,18 +322,18 @@ def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float
         Y = np.abs(Umat @ arr.T) ** 2
         return (Y * Y).sum(axis=1)
 
-    def direction(points, f):
-        (Umat,) = points
+    def tangent(Umat):
         Y = Umat @ arr.T
-        G = 2.0 * ((np.abs(Y) ** 2) * Y) @ arr.conj()
+        Y2 = np.abs(Y) ** 2
+        G = 2.0 * (Y2 * Y) @ arr.conj()
         # remove the full complex radial component; the objective is phase
         # invariant, so the phase direction carries no ascent either
-        return f, (G - np.sum(np.conj(Umat) * G, axis=1, keepdims=True) * Umat,)
+        return (Y2 * Y2).sum(axis=1), (G - np.sum(np.conj(Umat) * G, axis=1, keepdims=True) * Umat,)
 
     def retract(Umat):
         return (Umat / np.linalg.norm(Umat, axis=1, keepdims=True),)
 
-    f = _armijo((U,), value, direction, retract, 1.0, cfg)
+    f = _armijo((U,), value, tangent, retract, 1.0, cfg.max_iters)
     i = int(np.argmax(f))
     return float(f[i]), U[i].copy()
 
@@ -369,32 +396,26 @@ def _descend_pairs(A: SensingMatrix, p: int, orthogonal: bool, cfg: OptimizerCon
 
     if p == 2:
         f = _armijo(
-            (U, V), value, lambda points, f: tangent(*points),
-            lambda Umat, Vmat: _retract_pair(Umat, Vmat, A.field, orthogonal), -1.0, cfg,
+            (U, V), value, tangent,
+            lambda Umat, Vmat: _retract_pair(Umat, Vmat, A.field, orthogonal), -1.0, cfg.max_iters,
         )
         i = int(np.argmin(f))
         return float(f[i]), U[i].copy(), V[i].copy()
 
-    best_f = value(U, V)
-    best_U, best_V = U.copy(), V.copy()
-    scale = 0.1 * best_f / np.maximum(np.sqrt(_sq_norms(tangent(U, V)[1])), 1e-30)
+    # diminishing steps t_k = scale / (|g_k| sqrt(k)), one tangent call per step
+    fv, (Gu, Gv) = tangent(U, V)
+    gn = np.maximum(np.sqrt(_sq_norms((Gu, Gv))), 1e-30)
+    best_f, best_U, best_V = fv, U.copy(), V.copy()
+    scale = 0.1 * fv / gn
     for k in range(1, cfg.subgradient_iters + 1):
+        t = scale / (gn * math.sqrt(k))
+        U, V = _retract_pair(U - t[:, None] * Gu, V - t[:, None] * Gv, A.field, orthogonal)
         fv, (Gu, Gv) = tangent(U, V)
-        gn = np.sqrt(_sq_norms((Gu, Gv)))
+        gn = np.maximum(np.sqrt(_sq_norms((Gu, Gv))), 1e-30)
         better = fv < best_f
-        if better.any():
-            best_f[better] = fv[better]
-            best_U[better] = U[better]
-            best_V[better] = V[better]
-        t = scale / (np.maximum(gn, 1e-30) * math.sqrt(k))
-        U = U - t[:, None] * Gu
-        V = V - t[:, None] * Gv
-        U, V = _retract_pair(U, V, A.field, orthogonal)
-    fv = value(U, V)
-    better = fv < best_f
-    best_f[better] = fv[better]
-    best_U[better] = U[better]
-    best_V[better] = V[better]
+        best_f[better] = fv[better]
+        best_U[better] = U[better]
+        best_V[better] = V[better]
     i = int(np.argmin(best_f))
     return float(best_f[i]), best_U[i].copy(), best_V[i].copy()
 
@@ -485,6 +506,7 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
     p = _check_p(p)
     cfg = cfg or OptimizerConfig()
     _nonzero_matrix(A)
+    A, k = _unit_scale(A)
 
     if p == 1:
         gram = A.array.conj().T @ A.array
@@ -501,7 +523,7 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
         fbest, witness = _ascend_fourth_moment(A, cfg)
         value = fbest ** (1.0 / p)
         method = Method.MULTI_START_LOCAL
-    return LipschitzEstimate(value, EstimateKind.UPPER_U, p, witness, method)
+    return _rescaled(LipschitzEstimate(value, EstimateKind.UPPER_U, p, witness, method), k)
 
 
 def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: bool) -> LipschitzEstimate:
@@ -509,6 +531,7 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
     _nonzero_matrix(A)
     if orthogonal and A.d < 2:
         raise ValueError("orthogonal pairs need dimension d >= 2")
+    A, k = _unit_scale(A)
 
     if A.d == 2:
         solve = planar.exact_lower_p1 if p == 1 else planar.exact_lower_p2
@@ -531,7 +554,7 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
     witness = UnitPair(A.field, u, v, constraint)
     witness.validate()
     kind = EstimateKind.ORTHOGONAL_M if orthogonal else EstimateKind.LOWER_L
-    return LipschitzEstimate(value, kind, p, witness, method)
+    return _rescaled(LipschitzEstimate(value, kind, p, witness, method), k)
 
 
 def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:
@@ -570,14 +593,18 @@ def condition_number(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = Non
     retrieval, beta is +inf, and the report is flagged.  The flag is also
     raised heuristically when m sits below the injectivity threshold
     (2d - 1 real, 4d - 4 complex), where no matrix can do phase retrieval,
-    even though the computed L may still be positive there.
+    even though the computed L may still be positive there.  beta and the
+    flags come from the constants of the rescaled matrix (see
+    `_unit_scale`), so they hold even where the reported L and U underflow
+    to zero.
     """
     p = _check_p(p)
     cfg = cfg or OptimizerConfig()
     _nonzero_matrix(A)
 
-    lower = lower_lipschitz(A, p, cfg)
-    upper = upper_lipschitz(A, p, cfg)
+    scaled, k = _unit_scale(A)
+    lower = lower_lipschitz(scaled, p, cfg)
+    upper = upper_lipschitz(scaled, p, cfg)
     flags: list[str] = []
     if A.m < _injectivity_threshold(A.field, A.d):
         flags.append(NO_PHASE_RETRIEVAL_FLAG)
@@ -587,6 +614,7 @@ def condition_number(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = Non
             flags.append(NO_PHASE_RETRIEVAL_FLAG)
     else:
         beta = upper.value / lower.value
+    lower, upper = _rescaled(lower, k), _rescaled(upper, k)
     bound = universal_lower_bound(A.field, p, A.m).value
     return ConditionReport(
         p=p, field=A.field, m=A.m, d=A.d,

@@ -2,11 +2,14 @@
 
 Planar oracle.  At d=2 the Lipschitz optimization collapses to a small
 number of real parameters: in the coordinates of `planar`, a feasible pair
-is a point (r, y) of [0, 1] x S^2 and a unit vector is a point w of S^2,
-so minimizing over those boxes IS the planar optimum, not a relaxation of
-it.  A branch-and-bound over these boxes with per-axis Lipschitz constants
-yields an interval certified to contain the true optimum, plus a witness
-vector or pair rebuilt from the optimal parameters.
+is a point (r, y) of [0, 1] x S^2, and all three constants are slices of
+the one objective sum kappa_i^p |r + <m_i, y>|^p.  Its infimum with r free
+is L^p, its infimum at r = 0 is M^p, and its supremum at r = 1 is U^p,
+because |<a_i, u>|^2 = kappa_i (1 + <m_i, y>) for the unit vector u with
+coordinates y.  Searching these boxes IS the planar optimum, not a
+relaxation of it.  A branch-and-bound over them with per-axis Lipschitz
+constants yields an interval certified to contain the true optimum, plus
+a witness vector or pair rebuilt from the optimal parameters.
 
 Identity suite.  The remaining functions check, numerically and over wide
 sweeps, the trigonometric partial-sum identities, the closed form of the
@@ -37,6 +40,8 @@ from .lipschitz import (
     EstimateKind,
     LipschitzEstimate,
     Method,
+    _rescaled,
+    _unit_scale,
     is_tight_4_frame,
     pair_objective,
     upper_objective,
@@ -176,28 +181,29 @@ def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
     return _BandResult(floor, best, arg, evals)
 
 
-def _lower_problem(A: SensingMatrix, p: int, constraint: Constraint):
-    """Per-cell evaluator, parameter map, and box for the lower objective.
+def _planar_problem(A: SensingMatrix, p: int, r: float | None):
+    """Per-cell evaluator, parameter map, and box for one slice of the problem.
 
-    The floor uses interval arithmetic per measurement: inside a cell, each
-    |r + <m_i, y>| moves by at most the cell slack h_r + ||Delta y||, and
-    the sphere parameterization bounds ||Delta y|| by h_theta plus
-    sin(theta) times h_gamma (the effective widths reported back for the
-    split heuristic).
+    The objective is sum kappa_i^p |r + <m_i, y>|^p over y on S^2 (on its
+    equator over the reals): r=None leaves r free in [0, 1] (L), r=0 is M,
+    and r=1 is U, whose objective kappa_i (1 + <m_i, y>) is |<a_i, u>|^2 at
+    the unit vector u with coordinates y.  U is a supremum, so it is posed
+    as -f for the branch and bound to minimize.  The floor uses interval
+    arithmetic per measurement: inside a cell, each |r + <m_i, y>| moves by
+    at most the cell slack h_r + ||Delta y||, and the sphere
+    parameterization bounds ||Delta y|| by h_theta plus sin(theta) times
+    h_gamma (the effective widths reported back for the split heuristic).
+    For U the per-cell ceiling, capped at 2, gives the floor of -f.
     """
     kap, M = _bloch_rows(A)
     kp = kap ** p
-    fixed_r = constraint is Constraint.ORTHOGONAL
     real = A.field is Field.REAL
-
-    if real:
-        lo, hi = ([0.0], [2.0 * np.pi]) if fixed_r else ([0.0, 0.0], [1.0, 2.0 * np.pi])
-    else:
-        lo, hi = ([0.0, 0.0], [np.pi, 2.0 * np.pi]) if fixed_r else (
-            [0.0, 0.0, 0.0], [1.0, np.pi, 2.0 * np.pi])
+    lo, hi = ([0.0], [2.0 * np.pi]) if real else ([0.0, 0.0], [np.pi, 2.0 * np.pi])
+    if r is None:
+        lo, hi = [0.0] + lo, [1.0] + hi
 
     def param(Z):
-        r = np.zeros(Z.shape[0]) if fixed_r else Z[:, 0]
+        rs = Z[:, 0] if r is None else np.full(Z.shape[0], float(r))
         if real:
             xi = Z[:, -1]
             Y = np.stack([np.cos(xi), np.sin(xi), np.zeros_like(xi)], axis=1)
@@ -205,63 +211,43 @@ def _lower_problem(A: SensingMatrix, p: int, constraint: Constraint):
             th, ga = Z[:, -2], Z[:, -1]
             st = np.sin(th)
             Y = np.stack([np.cos(th), st * np.cos(ga), st * np.sin(ga)], axis=1)
-        return r, Y
+        return rs, Y
 
     def evaluate(Z, H):
-        r, Y = param(Z)
-        av = np.abs(r[:, None] + Y @ M.T)
-        vals = (kp[None, :] * av ** p).sum(axis=1)
+        rs, Y = param(Z)
         eff = H.copy()
         if not real:
             st = np.abs(np.sin(Z[:, -2]))
             eff[:, -1] = H[:, -1] * np.minimum(1.0, st + H[:, -2])
-        slack = eff.sum(axis=1)
-        red = np.maximum(av - slack[:, None], 0.0)
-        floors = (kp[None, :] * red ** p).sum(axis=1)
-        return vals, floors, eff
+        slack = eff.sum(axis=1)[:, None]
+        # each term |r + <m_i, y>|, then its bound over the cell, in place: at
+        # the largest frontiers every (cells, m) array is tens of MB
+        t = Y @ M.T
+        t += rs[:, None]
+        np.abs(t, out=t)
+        vals = (kp * t ** p).sum(axis=1)
+        if r == 1:
+            t += slack
+            np.minimum(t, 2.0, out=t)
+            return -vals, -(kp * t ** p).sum(axis=1), eff
+        t -= slack
+        np.maximum(t, 0.0, out=t)
+        return vals, (kp * t ** p).sum(axis=1), eff
 
     return evaluate, param, lo, hi
 
 
-def _upper_problem(A: SensingMatrix, p: int):
-    """Negated per-cell evaluator, parameter map, and box for the supremum.
+def _planar_band(A: SensingMatrix, p: int, r: float | None, grid: GridSpec | None):
+    """Branch and bound over one slice of a planar matrix's problem.
 
-    Works on -sum kappa_i^p (1 + <m_i, w>)^p so the branch and bound can
-    minimize; the floor caps each 1 + <m_i, w> at its interval ceiling
-    (never above 2) before raising to the p-th power.
+    Returns the band result and the optimal point (r, y).
     """
-    kap, M = _bloch_rows(A)
-    kp = kap ** p
-    real = A.field is Field.REAL
-    lo, hi = ([0.0], [2.0 * np.pi]) if real else ([0.0, 0.0], [np.pi, 2.0 * np.pi])
-
-    def param(Z):
-        if real:
-            psi = Z[:, 0]
-            return np.stack([np.cos(psi), np.sin(psi), np.zeros_like(psi)], axis=1)
-        th, ga = Z[:, 0], Z[:, 1]
-        st = np.sin(th)
-        return np.stack([np.cos(th), st * np.cos(ga), st * np.sin(ga)], axis=1)
-
-    def evaluate(Z, H):
-        W = param(Z)
-        g = 1.0 + W @ M.T
-        vals = -(kp[None, :] * g ** p).sum(axis=1)
-        eff = H.copy()
-        if not real:
-            st = np.abs(np.sin(Z[:, 0]))
-            eff[:, 1] = H[:, 1] * np.minimum(1.0, st + H[:, 0])
-        slack = eff.sum(axis=1)
-        cap = np.minimum(g + slack[:, None], 2.0)
-        floors = -(kp[None, :] * cap ** p).sum(axis=1)
-        return vals, floors, eff
-
-    return evaluate, param, lo, hi
-
-
-def _require_planar(A: SensingMatrix) -> None:
     if A.d != 2:
         raise ValueError(f"the grid oracle parameterization needs d=2, got d={A.d}")
+    evaluate, param, lo, hi = _planar_problem(A, p, r)
+    res = _branch_bound(evaluate, lo, hi, grid or GridSpec())
+    rs, Y = param(res.arg[None, :])
+    return res, float(rs[0]), Y[0]
 
 
 def grid_lower_l(
@@ -278,24 +264,21 @@ def grid_lower_l(
     upper edge, and the witness pair rebuilt from the optimal parameters is
     cross-checked against a direct objective evaluation before returning.
     """
-    _require_planar(A)
     if constraint not in (Constraint.REAL_INNER, Constraint.ORTHOGONAL):
         raise ValueError("constraint must be REAL_INNER or ORTHOGONAL")
     p = _check_p(p)
-    grid = grid or GridSpec()
+    A, k = _unit_scale(A)
+    orthogonal = constraint is Constraint.ORTHOGONAL
+    res, r, y = _planar_band(A, p, 0.0 if orthogonal else None, grid)
 
-    evaluate, param, lo, hi = _lower_problem(A, p, constraint)
-    res = _branch_bound(evaluate, lo, hi, grid)
-
-    rz, Y = param(res.arg[None, :])
-    u, v = _pair_from_point(float(rz[0]), Y[0], A.field)
+    u, v = _pair_from_point(r, y, A.field)
     value = res.best ** (1.0 / p)
     _check_witness(value, pair_objective(A, u, v, p), "planar lower")
     witness = UnitPair(A.field, u, v, constraint)
     witness.validate()
     band = (max(res.floor, 0.0) ** (1.0 / p), value)
-    kind = EstimateKind.ORTHOGONAL_M if constraint is Constraint.ORTHOGONAL else EstimateKind.LOWER_L
-    return LipschitzEstimate(value, kind, p, witness, Method.GRID_ORACLE, band)
+    kind = EstimateKind.ORTHOGONAL_M if orthogonal else EstimateKind.LOWER_L
+    return _rescaled(LipschitzEstimate(value, kind, p, witness, Method.GRID_ORACLE, band), k)
 
 
 def grid_upper_u(A: SensingMatrix, p: int, grid: GridSpec | None = None) -> LipschitzEstimate:
@@ -305,21 +288,15 @@ def grid_upper_u(A: SensingMatrix, p: int, grid: GridSpec | None = None) -> Lips
     is the attained lower edge, and the witness is the unit vector rebuilt
     from the optimal sphere parameters.
     """
-    _require_planar(A)
     p = _check_p(p)
-    grid = grid or GridSpec()
+    A, k = _unit_scale(A)
+    res, _, w = _planar_band(A, p, 1.0, grid)
 
-    evaluate, param, lo, hi = _upper_problem(A, p)
-    res = _branch_bound(evaluate, lo, hi, grid)
-
-    best = -res.best
-    ceiling = -res.floor
-    W = param(res.arg[None, :])
-    u = _bloch_vector(W[0], A.field)
-    value = best ** (1.0 / p)
+    u = _bloch_vector(w, A.field)
+    value = (-res.best) ** (1.0 / p)
     _check_witness(value, upper_objective(A, u, p), "planar upper")
-    band = (value, max(ceiling, 0.0) ** (1.0 / p))
-    return LipschitzEstimate(value, EstimateKind.UPPER_U, p, u, Method.GRID_ORACLE, band)
+    band = (value, max(-res.floor, 0.0) ** (1.0 / p))
+    return _rescaled(LipschitzEstimate(value, EstimateKind.UPPER_U, p, u, Method.GRID_ORACLE, band), k)
 
 
 # ---------------------------------------------------------------------------

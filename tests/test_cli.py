@@ -89,6 +89,20 @@ def test_beta_reads_matrix_files(capsys, tmp_path):
     assert payload["beta"] >= math.sqrt(3.0) - 1e-4
 
 
+def test_beta_reads_matrix_files_at_any_scale(capsys, tmp_path):
+    # at 1e-200 the unrescaled planar solve divides by an underflowed sum;
+    # L and U underflow there, but beta is that of the unit-scale matrix
+    A = sample_gaussian(Field.REAL, 10, 2, RngSpec(1, 0))
+    betas = []
+    for name, matrix in (("unit.json", A), ("tiny.json", A.scaled(1e-200))):
+        save_matrix(matrix, tmp_path / name)
+        code, out, _ = run_cli(capsys, "beta", "--matrix", str(tmp_path / name))
+        assert code == 0
+        betas.append(json.loads(out)["beta"])
+    assert math.isfinite(betas[1])
+    assert betas[1] == pytest.approx(betas[0], rel=1e-9)
+
+
 def test_beta_widens_real_files_to_complex(capsys, tmp_path):
     # widening is honored, and the widened matrix is then correctly caught
     # failing complex phase retrieval: u and conj(u) produce the same

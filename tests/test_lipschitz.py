@@ -1,5 +1,6 @@
 """Multi-start estimation of the optimal Lipschitz constants and reports."""
 
+import dataclasses
 import json
 import math
 
@@ -179,6 +180,27 @@ def test_constants_scale_quadratically():
         assert scaled == pytest.approx(9.0 * base, rel=1e-6)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("c", [2.0 ** -10, 1e-7, 1e-60, 1e-200, 1e100])
+def test_condition_number_is_invariant_to_the_matrix_scale(c, p):
+    # the searches stop on absolute tolerances that hold only near unit
+    # scale: unrescaled, they stop early (2^-10), clamp L to zero (1e-7 and
+    # below) or overflow (1e100).  At 1e-200 the true L and U (about 1e-400)
+    # underflow, but beta comes from the rescaled matrix and stays finite.
+    A = sample_gaussian(Field.REAL, 10, 3, RngSpec(1, 0))
+    cfg = OptimizerConfig(starts=8, max_iters=200)
+    base = condition_number(A, p, cfg)
+    got = condition_number(A.scaled(c), p, cfg)
+    assert got.flags == base.flags == ()
+    assert got.beta == pytest.approx(base.beta, rel=1e-7)
+    assert got.lower.value == got.L and got.upper.value == got.U
+    if c ** 2 > 0:
+        assert got.L / c ** 2 == pytest.approx(base.L, rel=1e-7)
+        assert got.U / c ** 2 == pytest.approx(base.U, rel=1e-7)
+    else:
+        assert 0.0 <= got.L < 1e-300 and 0.0 <= got.U < 1e-300
+
+
 def test_constants_are_rotation_invariant():
     gen = RngSpec(85, 0).generator()
     A = sample_gaussian(Field.REAL, 7, 3, RngSpec(85, 1))
@@ -294,10 +316,12 @@ def test_optimizer_config_validation():
         OptimizerConfig(starts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(step_shrink=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(armijo=-1.0)
+
+
+def test_optimizer_config_has_only_the_search_settings():
+    # the line-search settings are module constants, not fields
+    names = [f.name for f in dataclasses.fields(OptimizerConfig)]
+    assert names == ["starts", "max_iters", "subgradient_iters", "polish", "rng"]
 
 
 def test_runs_are_reproducible_for_a_fixed_config():

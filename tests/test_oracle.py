@@ -147,6 +147,18 @@ def test_oracle_scaling_covariance():
     assert scaled.value == pytest.approx(4.0 * base.value, rel=1e-7)
 
 
+def test_oracle_bands_are_invariant_to_the_matrix_scale():
+    # the branch and bound stops on an absolute gap, which at 1e-7 would
+    # end it with a band 40% wide unless the matrix is rescaled
+    A = sample_gaussian(Field.COMPLEX, 8, 2, RngSpec(3, 0))
+    c = 1e-7
+    for fun in (lambda M: grid_lower_l(M, 1), lambda M: grid_upper_u(M, 1)):
+        base = fun(A).certified_band
+        got = fun(A.scaled(c)).certified_band
+        assert got[0] / c ** 2 == pytest.approx(base[0], rel=1e-9)
+        assert got[1] / c ** 2 == pytest.approx(base[1], rel=1e-9)
+
+
 def test_oracle_requires_planar_input():
     A = sample_gaussian(Field.REAL, 5, 3, RngSpec(1, 0))
     with pytest.raises(ValueError):
