@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import oracle as oracle_mod
 from .closedform import harmonic_constants, universal_lower_bound
@@ -157,12 +158,7 @@ def _cmd_oracle(args) -> int:
         "field": A.field.value,
         "m": A.m,
         "d": A.d,
-        "grid": {
-            "resolution": grid.resolution,
-            "refine_rounds": grid.refine_rounds,
-            "refine_zoom": grid.refine_zoom,
-            "max_cells": grid.max_cells,
-        },
+        "grid": asdict(grid),
         "lower": estimate_to_json_dict(low, A.field),
         "orthogonal": estimate_to_json_dict(orth, A.field),
         "upper": estimate_to_json_dict(high, A.field),
@@ -197,19 +193,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify(args) -> int:
     report = oracle_mod.verify_all()
     if args.format == "json":
-        payload = {
-            "passed": report.passed,
-            "suites": [
-                {
-                    "name": s.name,
-                    "max_residual": s.max_residual,
-                    "threshold": s.threshold,
-                    "passed": s.passed,
-                    "detail": s.detail,
-                }
-                for s in report.suites
-            ],
-        }
+        payload = {"passed": report.passed, "suites": [asdict(s) for s in report.suites]}
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         width = max(len(s.name) for s in report.suites)
@@ -231,10 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(sp, default_format):
-        sp.add_argument("--format", choices=("json", "csv", "text"),
-                        default=default_format,
-                        help=f"output format (default {default_format})")
+    def add_output(sp, *formats):
+        sp.add_argument("--format", choices=formats, default=formats[0],
+                        help=f"output format (default {formats[0]})")
         sp.add_argument("--out", help="also write the output to this file")
 
     def add_p_field(sp):
@@ -255,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("frame", help="emit the harmonic frame with m rows")
     add_m(sp, "number of frame rows (at least 3)")
-    add_output(sp, "json")
+    add_output(sp, "json", "csv")
     sp.set_defaults(handler=_cmd_frame)
 
     sp = sub.add_parser("beta", help="condition number of one matrix")
@@ -269,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="universal lower bounds per m")
     add_p_field(sp)
     add_m(sp, "largest m in the table (default 12)")
-    add_output(sp, "text")
+    add_output(sp, "text", "csv")
     sp.set_defaults(handler=_cmd_bounds)
 
     sp = sub.add_parser("oracle", help="certified planar bands at d=2")
@@ -288,11 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=50,
                     help="number of random draws (default 50)")
     add_solver(sp)
-    add_output(sp, "json")
+    add_output(sp, "json", "csv")
     sp.set_defaults(handler=_cmd_experiment)
 
     sp = sub.add_parser("verify", help="run the identity and consistency suites")
-    add_output(sp, "text")
+    add_output(sp, "text", "json")
     sp.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._version import __version__
-from .closedform import _check_p
+from .closedform import _check_p, two_to_four_norm_bound, universal_lower_bound
 from .core import GENERATOR_NAME, Field, RngSpec, sample_gaussian
 from .lipschitz import (
     ConditionReport,
@@ -50,10 +50,12 @@ CSV_HEADER = ("trial", "seed", "m", "d", "field", "p", "L", "U", "beta", "runtim
 
 
 def asymptotic_beta(field: Field, p: int) -> float:
-    """Large-m limit of the condition number for Gaussian ensembles."""
-    if field is Field.REAL:
-        return math.pi / 2.0 if p == 1 else math.sqrt(3.0)
-    return 2.0
+    """Large-m limit of the condition number for Gaussian ensembles.
+
+    It is the m-free universal lower bound on beta: pi/2 (real, p=1),
+    sqrt(3) (real, p=2) and 2 over the complex field.
+    """
+    return universal_lower_bound(field, p).value
 
 
 @dataclass(frozen=True)
@@ -259,14 +261,14 @@ def tail_check_two_to_four(
 
     For each draw the norm sup_{|u|=1} (sum_j |<a_j,u>|^4)^(1/4) is computed
     by the quartic ascent, and the fraction of draws above
-    (3m)^(1/4) + sqrt(d) + t is compared to the tail ceiling 2 exp(-t^2/2).
-    The reported stderr is the binomial error of that ceiling at this trial
+    `two_to_four_norm_bound(m, d, t)` = (3m)^(1/4) + sqrt(d) + t, which
+    rejects t < 0, is compared to the tail ceiling 2 exp(-t^2/2).  The
+    reported stderr is the binomial error of that ceiling at this trial
     count.
     """
     rng = rng or RngSpec(20240817, 0)
     optimizer = optimizer or OptimizerConfig(starts=16, max_iters=200)
-    t = float(t)
-    threshold = (3.0 * m) ** 0.25 + math.sqrt(d) + t
+    threshold = two_to_four_norm_bound(m, d, t)
     hits = 0
     for trial in range(int(trials)):
         A = sample_gaussian(Field.REAL, m, d, rng.substream(trial))

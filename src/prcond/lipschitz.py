@@ -124,12 +124,18 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TightFrameCheck:
-    """Outcome of probing sum_j |<a_j, x>|^4 for constancy on the sphere."""
+    """Outcome of the exact test whether sum_j |<a_j, x>|^4 is constant on the sphere.
+
+    `mean` is the exact average of the quartic over the unit sphere, and
+    `residual` the relative Frobenius distance between the frame's
+    fourth-moment matrix and `mean` times that of |x|^4 (see
+    `is_tight_4_frame`).  The frame is tight when the residual is below
+    the test's tolerance.
+    """
 
     is_tight: bool
-    low: float
-    high: float
     mean: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -624,23 +630,31 @@ def condition_number(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = Non
     )
 
 
-def is_tight_4_frame(A: SensingMatrix, samples: int = 1000, tol: float = 1e-6) -> TightFrameCheck:
-    """Probe whether sum_j |<a_j, x>|^4 is constant over the unit sphere.
+def is_tight_4_frame(A: SensingMatrix, tol: float = 1e-6) -> TightFrameCheck:
+    """Exact test whether sum_j |<a_j, x>|^4 is constant over the unit sphere.
 
-    Evaluates the fourth-moment sum at `samples` uniform unit vectors (plus
-    a dense angle sweep when d=2 and real) and accepts when the relative
-    spread (max - min)/mean stays below `tol`.  Sampling uses a fixed
-    internal stream so repeated calls agree.
+    With W the m x d^2 matrix whose row j is vec(a_j a_j^T), the quartic is
+    z^H K z at z = vec(x x^T), where K = W^H W.  |x|^4 is z^H S z for the
+    d^2 x d^2 form S = (d_ik d_jl + d_il d_jk + d_ij d_kl)/3 over the reals
+    and (d_ik d_jl + d_il d_jk)/2 over the complex field, and the quartic is
+    constant exactly when K is a multiple of S.  The sphere average is
+    tr K / ||S||_F^2, and the frame is tight when the relative residual
+    ||K - mean S||_F / ||K||_F is at most `tol`.  Since ||K||_F^2 =
+    sum_ij |<a_i, a_j>|^4 and tr K = sum_j |a_j|^4, tightness is equality in
+    the Welch bound ||K||_F^2 >= (tr K)^2 / ||S||_F^2.  Costs O(m d^4) time
+    and O(m d^2 + d^4) memory and draws no random numbers; an all-zero
+    matrix is not a frame, so its residual is infinite.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 sample points")
-    g = RngSpec(87187245, 0).generator()
-    X = sample_unit(A.field, A.d, g, n=int(samples))
-    vals = (np.abs(X @ A.array.T) ** 4).sum(axis=1)
-    if A.d == 2 and A.field is Field.REAL:
-        ang = np.linspace(0.0, np.pi, 10_000, endpoint=False)
-        sweep = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        vals = np.concatenate([vals, (np.abs(sweep @ A.array.T) ** 4).sum(axis=1)])
-    low, high, mean = float(vals.min()), float(vals.max()), float(vals.mean())
-    spread = (high - low) / mean if mean > 0 else math.inf
-    return TightFrameCheck(bool(spread <= tol), low, high, mean)
+    d = A.d
+    W = (A.array[:, :, None] * A.array[:, None, :]).reshape(A.m, d * d)
+    K = W.conj().T @ W
+    eye = np.eye(d)
+    swap = np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
+    if A.field is Field.REAL:
+        S, norm2 = (swap + np.einsum("ij,kl->ijkl", eye, eye)) / 3.0, d * (d + 2) / 3.0
+    else:
+        S, norm2 = swap / 2.0, d * (d + 1) / 2.0
+    mean = float(np.trace(K).real) / norm2
+    size = float(np.linalg.norm(K))
+    residual = float(np.linalg.norm(K - mean * S.reshape(K.shape))) / size if size > 0 else math.inf
+    return TightFrameCheck(bool(residual <= tol), mean, residual)

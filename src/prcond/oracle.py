@@ -72,24 +72,26 @@ class GridSpec:
 
     `resolution` is the point budget per angle axis of the initial sweep
     (split across axes in higher-dimensional parameterizations);
-    `refine_rounds` and `refine_zoom` set how far subdivision is allowed to
-    shrink cells, as rounds of zooming by the given factor; `max_cells`
-    caps the live frontier so degenerate flat valleys terminate with an
-    honestly wider band instead of running forever.
+    `halvings` is how many times subdivision may halve each axis, so the
+    search runs at most ndim * halvings levels; `max_cells` caps the live
+    frontier so degenerate flat valleys terminate with an honestly wider
+    band instead of running forever.  On the acceptance suite's planar
+    draws and on the harmonic frames, every search at the defaults ends at
+    the level cap or at `max_cells`, never on the gap test, so band widths
+    are set by this budget.
     """
 
     resolution: int = 2048
-    refine_rounds: int = 3
-    refine_zoom: float = 0.05
+    halvings: int = 13
     max_cells: int = 200_000
 
     def __post_init__(self) -> None:
         if self.resolution < 16:
             raise ValueError("resolution must be at least 16")
-        if not (0.0 < self.refine_zoom < 1.0):
-            raise ValueError("refine_zoom must lie in (0, 1)")
-        if self.refine_rounds < 1 or self.max_cells < 64:
-            raise ValueError("refine_rounds and max_cells must be positive")
+        if self.halvings < 1:
+            raise ValueError("halvings must be at least 1")
+        if self.max_cells < 64:
+            raise ValueError("max_cells must be at least 64")
 
     def axis_points(self, ndim: int) -> int:
         if ndim <= 1:
@@ -97,7 +99,7 @@ class GridSpec:
         return max(16, 2 * math.ceil(self.resolution ** (1.0 / ndim)))
 
     def max_levels(self, ndim: int) -> int:
-        return math.ceil(ndim * self.refine_rounds * math.log2(1.0 / self.refine_zoom))
+        return ndim * self.halvings
 
 
 @dataclass(frozen=True)
@@ -400,21 +402,14 @@ def check_g_min_at_one(A: SensingMatrix, x: np.ndarray, y: np.ndarray, t_grid) -
     it is a precondition error, not a False): for such frames the minimum
     over t >= 0 sits exactly at t = 1.
     """
-    _require_tight_4_frame(A)
     return _g_min_at_one(A, x, y, t_grid)[0]
 
 
-def _require_tight_4_frame(A: SensingMatrix) -> None:
-    check = is_tight_4_frame(A, samples=400, tol=1e-6)
-    if not check.is_tight:
-        raise ValueError(
-            f"matrix is not a tight 4-frame (fourth moment spread "
-            f"[{check.low:.6g}, {check.high:.6g}])"
-        )
-
-
 def _g_min_at_one(A: SensingMatrix, x: np.ndarray, y: np.ndarray, t_grid):
-    """The verdict of `check_g_min_at_one` without the frame probe, and g itself."""
+    """The verdict of `check_g_min_at_one`, and g itself."""
+    check = is_tight_4_frame(A)
+    if not check.is_tight:
+        raise ValueError(f"matrix is not a tight 4-frame (residual {check.residual:.3g})")
     x = np.asarray(x)
     y = np.asarray(y)
     if abs(np.linalg.norm(x) - 1) > 1e-10 or abs(np.linalg.norm(y) - 1) > 1e-10:
@@ -433,13 +428,13 @@ def _g_min_at_one(A: SensingMatrix, x: np.ndarray, y: np.ndarray, t_grid):
     return all(g1 <= g(t) + 1e-12 for t in ts if t >= 0), g
 
 
-def check_sub_tan(phis, t_squares, grid: GridSpec | None = None) -> SubTanCheck:
+def check_sub_tan(phis, t_squares) -> SubTanCheck:
     """Minimize sum t_i^2 |sin(theta - phi_i)| and compare to the tan bound.
 
     Between consecutive kink angles the objective is a single nonnegative
     sinusoid arc, hence concave there, so the global minimum is always
     attained at one of the kinks theta = phi_i.  Evaluating the kink set is
-    therefore exact; a `grid` only adds redundant candidate points.
+    therefore exact.
     """
     phis = np.asarray(list(phis), dtype=np.float64)
     ts = np.asarray(list(t_squares), dtype=np.float64)
@@ -450,12 +445,7 @@ def check_sub_tan(phis, t_squares, grid: GridSpec | None = None) -> SubTanCheck:
     if np.any(ts < 0):
         raise ValueError("squared weights must be nonnegative")
 
-    cand = phis
-    if grid is not None:
-        cand = np.concatenate(
-            [cand, np.linspace(0.0, np.pi, grid.resolution, endpoint=False)]
-        )
-    best = float(_weighted_sine(cand[None], phis[None], ts[None]).min())
+    best = float(_weighted_sine(phis[None], phis[None], ts[None]).min())
     bound = closedform.sub_tan_bound(ts)
     return SubTanCheck(best, bound, bool(best <= bound + 1e-10))
 
@@ -568,7 +558,6 @@ def _gmin_suite(rng: np.random.Generator, instances: int) -> SuiteResult:
     all_min = True
     t_grid = np.concatenate([np.linspace(0.0, 5.0, 51), [0.25, 0.5, 2.0, 4.0]])
     h = 1e-4
-    tight: set[int] = set()
     for _ in range(instances):
         m = int(rng.integers(3, 13))
         ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -576,11 +565,6 @@ def _gmin_suite(rng: np.random.Generator, instances: int) -> SuiteResult:
             [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
         )
         A = SensingMatrix(Field.REAL, harmonic_frame(m).array @ Q)
-        # a rotation keeps a tight frame tight, so one probe per m covers
-        # every instance of that m
-        if m not in tight:
-            _require_tight_4_frame(A)
-            tight.add(m)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([math.cos(phase), math.sin(phase)])
         y = np.array([-math.sin(phase), math.cos(phase)])

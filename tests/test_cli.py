@@ -215,7 +215,7 @@ def test_oracle_bands_bracket_harmonic_constants(capsys):
     assert up_band[0] - 1e-12 <= h.U <= up_band[1]
     beta_lo, beta_hi = payload["beta_band"]
     assert beta_lo <= h.beta <= beta_hi
-    assert payload["grid"]["resolution"] == 256
+    assert payload["grid"] == {"resolution": 256, "halvings": 13, "max_cells": 200_000}
     assert payload["orthogonal"]["kind"] == "OrthogonalM"
 
 
@@ -315,6 +315,18 @@ def test_unknown_subcommand_exits_via_argparse():
 def test_bad_p_choice_is_rejected_by_the_parser():
     with pytest.raises(SystemExit):
         main(["beta", "--m", "4", "--p", "3"])
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("bounds", "json"), ("beta", "csv"), ("beta", "text"), ("frame", "text"),
+    ("oracle", "csv"), ("oracle", "text"), ("experiment", "text"), ("verify", "csv"),
+])
+def test_formats_a_subcommand_does_not_write_are_usage_errors(capsys, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--m", "4", "--format", fmt] if command != "verify"
+             else [command, "--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_out_flag_duplicates_stdout(capsys, tmp_path):

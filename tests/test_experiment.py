@@ -196,6 +196,13 @@ def test_tail_check_clamps_vacuous_ceilings():
     assert check.stderr == pytest.approx(math.sqrt(1e-12 / 20.0), rel=1e-9)
 
 
+def test_tail_check_rejects_negative_t():
+    # the threshold is closedform.two_to_four_norm_bound, whose tail bound
+    # needs t >= 0
+    with pytest.raises(ValueError):
+        tail_check_two_to_four(20, 2, -1.0, trials=1, rng=RngSpec(737, 3), optimizer=FAST)
+
+
 def test_tail_rate_is_small_at_large_t():
     check = tail_check_two_to_four(
         30, 2, 3.0, trials=30, rng=RngSpec(737, 1), optimizer=FAST

@@ -333,23 +333,54 @@ def test_runs_are_reproducible_for_a_fixed_config():
 
 
 # ---------------------------------------------------------------------------
-# tight frame probe
+# exact tight 4-frame test
 # ---------------------------------------------------------------------------
 
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
 def test_harmonic_frames_are_tight_4_frames():
-    for m in (3, 4, 7):
-        check = is_tight_4_frame(harmonic_frame(m))
-        assert check.is_tight
-        assert check.mean == pytest.approx(3.0 * m / 8.0, rel=1e-9)
+    for m in (*range(3, 13), 100, 1000, 4000, 20000):
+        A = harmonic_frame(m)
+        check = is_tight_4_frame(A)
+        assert check.is_tight and check.residual <= 1e-12
+        assert check.mean == pytest.approx(3.0 * m / 8.0, rel=1e-12)
+        moved = is_tight_4_frame(SensingMatrix(Field.REAL, 3.7 * A.array @ _rotation(0.3 + m)))
+        assert moved.is_tight and moved.residual <= 1e-12
+        assert moved.mean == pytest.approx(3.7 ** 4 * 3.0 * m / 8.0, rel=1e-12)
+
+
+def test_unbiased_bases_and_icosahedron_axes_are_tight_4_frames():
+    s = 1.0 / math.sqrt(2.0)
+    mub = [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
+    g = (1.0 + math.sqrt(5.0)) / 2.0
+    ico = np.array([[0, 1, g], [0, 1, -g], [1, g, 0], [1, -g, 0], [g, 0, 1], [-g, 0, 1]])
+    for A in (SensingMatrix(Field.COMPLEX, mub),
+              SensingMatrix(Field.REAL, ico / math.sqrt(1.0 + g * g))):
+        check = is_tight_4_frame(A)
+        assert check.is_tight and check.residual <= 1e-12
+        # six unit rows: the sphere average is 6 / ||S||_F^2
+        assert check.mean == pytest.approx(6.0 / (3.0 if A.field is Field.COMPLEX else 5.0))
 
 
 def test_identity_is_not_a_tight_4_frame():
     check = is_tight_4_frame(SensingMatrix(Field.REAL, np.eye(2)))
     assert not check.is_tight
-    assert check.low == pytest.approx(0.5, abs=1e-6)
-    assert check.high == pytest.approx(1.0, abs=1e-6)
+    assert check.mean == pytest.approx(0.75, rel=1e-15)
+    assert check.residual == pytest.approx(0.5, rel=1e-15)
 
 
-def test_tight_frame_probe_needs_samples():
-    with pytest.raises(ValueError):
-        is_tight_4_frame(harmonic_frame(3), samples=10)
+def test_frames_that_are_not_tight_have_a_large_residual():
+    cases = [SensingMatrix(Field.COMPLEX, harmonic_frame(m).array.astype(complex))
+             for m in (3, 7, 12)]
+    cases += [sample_gaussian(field, m, 3, RngSpec(3, m))
+              for field in (Field.REAL, Field.COMPLEX) for m in (20, 30)]
+    for A in cases:
+        check = is_tight_4_frame(A)
+        assert not check.is_tight and check.residual > 0.3
+    bent = harmonic_frame(7).array.copy()
+    bent[0] *= 1.0 + 1e-4
+    check = is_tight_4_frame(SensingMatrix(Field.REAL, bent))
+    assert not check.is_tight
+    assert check.residual == pytest.approx(7.4e-5, rel=0.01)
