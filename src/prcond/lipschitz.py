@@ -12,10 +12,12 @@ and the condition number beta = U / L.  Two cases are solved exactly
 planar matrices (d=2) every constant comes from the planar coordinates of
 `planar`, by small eigenvalue problems at p=2 and by enumerating the
 vertices of a piecewise-linear objective for L and M at p=1.  Everything
-else is nonconvex, so this module runs batched multi-start projected
-gradient (descent or ascent) on the constraint manifold, with a
-subgradient phase for the kinked p=1 objective and a simplex polish.  The
-ascent and the p=2 descent share one Armijo line search.
+else is nonconvex and runs batched multi-start searches on the constraint
+manifold: an Armijo gradient ascent for U at p=2; for L and M at p=2,
+alternating exact eigen-steps and then Riemannian Newton with the exact
+Hessian, stopped on a gradient test and reported with a
+`ConvergenceRecord`; and for L and M at p=1, a subgradient descent of the
+kinked objective with a simplex polish.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
 through their `method` tag.  On planar matrices the grid oracle in `oracle`
@@ -48,6 +50,7 @@ __all__ = [
     "EstimateKind",
     "Method",
     "LipschitzEstimate",
+    "ConvergenceRecord",
     "OptimizerConfig",
     "ConditionReport",
     "TightFrameCheck",
@@ -81,12 +84,38 @@ class Method(enum.Enum):
 
 
 @dataclass(frozen=True)
+class ConvergenceRecord:
+    """How the p=2 pair search for L or M at d >= 3 ended, for its best run.
+
+    The search runs Newton from two points per start (see `lower_lipschitz`).
+    `stop` is "gradient" when the best run's tangent gradient norm passed
+    the stopping test and "cap" when the safety cap ended it; `iterations`
+    counts its Newton steps.  `gradient_norm` is its final tangent gradient
+    norm and `min_hessian_eigenvalue` the least eigenvalue of the Riemannian
+    Hessian there, without the directions along which the objective is
+    constant over the complex field (see `_normal_frame`): at a local
+    minimum the norm is near zero and the eigenvalue is not negative.  Both
+    are of the objective sum_j c_j^2 (L^2 or M^2) on the matrix rescaled
+    into unit size (see `_unit_scale`).  `runs_at_best` counts the runs
+    whose objective ended within 1e-9 relative of the best.
+    """
+
+    stop: str
+    iterations: int
+    gradient_norm: float
+    min_hessian_eigenvalue: float
+    runs_at_best: int
+
+
+@dataclass(frozen=True)
 class LipschitzEstimate:
     """One computed constant with its witness and provenance.
 
     `witness` is a UnitPair for the two infima and a single unit vector for
     the supremum.  `certified_band`, set only by the grid oracle in `oracle`,
-    is an interval guaranteed to contain the true optimum.
+    is an interval guaranteed to contain the true optimum.  `convergence`
+    is set on the p=2 searched L and M (d >= 3) and left out of
+    `estimate_to_json_dict`.
     """
 
     value: float
@@ -95,6 +124,7 @@ class LipschitzEstimate:
     witness: "UnitPair | np.ndarray"
     method: Method
     certified_band: tuple[float, float] | None = None
+    convergence: ConvergenceRecord | None = None
 
 
 @dataclass(frozen=True)
@@ -102,11 +132,13 @@ class OptimizerConfig:
     """Settings of the multi-start searches: five fields.
 
     `starts` is the number of random starts, `max_iters` the iteration
-    budget of the Armijo ascent and p=2 descent, `subgradient_iters` that of
-    the nonsmooth p=1 descent, `polish` enables the final simplex
-    refinement, and `rng` pins the starts.  The line-search settings are
-    module constants next to `_armijo`.  At d=2 every constant is solved
-    exactly and no search setting applies.
+    budget of the Armijo ascent for U at p=2, `subgradient_iters` that of
+    the nonsmooth p=1 descent for L and M, `polish` enables the simplex
+    refinement that ends the p=1 descent, and `rng` pins the starts.  The
+    p=2 search for L and M uses only `starts` and `rng`: it stops on a
+    gradient test, under a fixed safety cap.  The line-search and Newton
+    settings are module constants.  At d=2 every constant is solved exactly
+    and no search setting applies.
     """
 
     starts: int = 64
@@ -276,24 +308,23 @@ _STEP_SHRINK = 0.5
 _ARMIJO = 1e-4
 
 
-def _armijo(points, value, tangent, retract, sign: float, max_iters: int):
-    """Batched Armijo search on a manifold, one start per row of each block.
+def _armijo(U, value, tangent, retract, max_iters: int):
+    """Batched Armijo ascent on the unit sphere, one start per row of U.
 
-    `points` is a tuple of (n, k) blocks: (U,) on the sphere, (U, V) for
-    pairs.  `value(*points)` gives the n objective values, and
-    `tangent(*points)` returns them together with the tangent gradient
-    blocks.  Each trial step is mapped back by `retract(*blocks)` and
-    accepted at the Armijo point (Absil, Mahony & Sepulchre, Optimization
-    Algorithms on Matrix Manifolds, 2008, sec. 4.2).  sign = +1 ascends and
-    -1 descends.  Updates `points` in place and returns the final values.
+    The U ascent at p=2 is its one caller.  `value(U)` gives the n objective
+    values, and `tangent(U)` returns them together with the tangent gradient.
+    Each trial step is mapped back by `retract` and accepted at the Armijo
+    point (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, sec. 4.2).  Updates U in place and returns the final
+    values.
     """
-    f = value(*points)
+    f = value(U)
     n = f.shape[0]
     step = np.full(n, _STEP_INIT)
     alive = np.ones(n, dtype=bool)
     for _ in range(max_iters):
-        fs, grads = tangent(*points)
-        gnorm2 = _sq_norms(grads)
+        fs, G = tangent(U)
+        gnorm2 = np.sum(np.abs(G) ** 2, axis=1)
         active = alive & (gnorm2 > (_GRADIENT_TOL * (1.0 + fs)) ** 2)
         if not active.any():
             break
@@ -303,12 +334,10 @@ def _armijo(points, value, tangent, retract, sign: float, max_iters: int):
             trial = np.where(active & ~improved)[0]
             if trial.size == 0:
                 break
-            move = sign * step[trial, None]
-            cand = retract(*(P[trial] + move * G[trial] for P, G in zip(points, grads)))
-            fc = value(*cand)
-            ok = sign * fc >= sign * f[trial] + _ARMIJO * step[trial] * gnorm2[trial]
-            for P, C in zip(points, cand):
-                P[trial[ok]] = C[ok]
+            cand = retract(U[trial] + step[trial, None] * G[trial])
+            fc = value(cand)
+            ok = fc >= f[trial] + _ARMIJO * step[trial] * gnorm2[trial]
+            U[trial[ok]] = cand[ok]
             f[trial[ok]] = fc[ok]
             improved[trial[ok]] = True
             step[trial[~ok]] *= _STEP_SHRINK
@@ -334,18 +363,46 @@ def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float
         G = 2.0 * (Y2 * Y) @ arr.conj()
         # remove the full complex radial component; the objective is phase
         # invariant, so the phase direction carries no ascent either
-        return (Y2 * Y2).sum(axis=1), (G - np.sum(np.conj(Umat) * G, axis=1, keepdims=True) * Umat,)
+        return (Y2 * Y2).sum(axis=1), G - np.sum(np.conj(Umat) * G, axis=1, keepdims=True) * Umat
 
     def retract(Umat):
-        return (Umat / np.linalg.norm(Umat, axis=1, keepdims=True),)
+        return Umat / np.linalg.norm(Umat, axis=1, keepdims=True)
 
-    f = _armijo((U,), value, tangent, retract, 1.0, cfg.max_iters)
+    f = _armijo(U, value, tangent, retract, cfg.max_iters)
     i = int(np.argmax(f))
     return float(f[i]), U[i].copy()
 
 
 # ---------------------------------------------------------------------------
-# batched pair descent for L and M
+# pairs: retraction and packed real coordinates
+# ---------------------------------------------------------------------------
+
+def _retract_pair(U, V, field: Field, orthogonal: bool):
+    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    ip = np.sum(np.conj(U) * V, axis=1, keepdims=True)
+    if orthogonal:
+        V = V - ip * U
+    elif field is Field.COMPLEX:
+        V = V - 1j * ip.imag * U
+    V = V / np.linalg.norm(V, axis=1, keepdims=True)
+    return U, V
+
+
+def _pack(w: np.ndarray, field: Field) -> np.ndarray:
+    """Real coordinates of vectors (last axis): (Re w, Im w) over the complex field."""
+    if field is Field.COMPLEX:
+        return np.concatenate([w.real, w.imag], axis=-1)
+    return np.asarray(w, dtype=np.float64)
+
+
+def _unpack(z: np.ndarray, d: int, field: Field) -> np.ndarray:
+    if field is Field.COMPLEX:
+        return z[..., :d] + 1j * z[..., d : 2 * d]
+    return z[..., :d]
+
+
+# ---------------------------------------------------------------------------
+# p=1 pair descent for L and M
 # ---------------------------------------------------------------------------
 
 def _project_pair_tangent(U, V, Gu, Gv, field: Field, orthogonal: bool):
@@ -367,46 +424,24 @@ def _project_pair_tangent(U, V, Gu, Gv, field: Field, orthogonal: bool):
     return Gu, Gv
 
 
-def _retract_pair(U, V, field: Field, orthogonal: bool):
-    U = U / np.linalg.norm(U, axis=1, keepdims=True)
-    ip = np.sum(np.conj(U) * V, axis=1, keepdims=True)
-    if orthogonal:
-        V = V - ip * U
-    elif field is Field.COMPLEX:
-        V = V - 1j * ip.imag * U
-    V = V / np.linalg.norm(V, axis=1, keepdims=True)
-    return U, V
-
-
-def _descend_pairs(A: SensingMatrix, p: int, orthogonal: bool, cfg: OptimizerConfig):
+def _descend_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
+    """Multi-start subgradient descent of sum_j |c_j| over feasible pairs."""
     arr = A.array
     g = cfg.rng.generator()
     U = sample_unit(A.field, A.d, g, n=cfg.starts)
     V = sample_unit(A.field, A.d, g, n=cfg.starts)
     U, V = _retract_pair(U, V, A.field, orthogonal)
 
-    def value(Umat, Vmat):
-        C = (np.conj(Umat @ arr.T) * (Vmat @ arr.T)).real
-        return (np.abs(C) ** p).sum(axis=1)
-
     def tangent(Umat, Vmat):
-        """Objective values and the projected (sub)gradient blocks."""
+        """Objective values and the projected subgradient blocks."""
         Yu = Umat @ arr.T
         Yv = Vmat @ arr.T
         C = (np.conj(Yu) * Yv).real
-        W = np.sign(C) if p == 1 else 2.0 * C
+        W = np.sign(C)
         G = _project_pair_tangent(
             Umat, Vmat, (W * Yv) @ arr.conj(), (W * Yu) @ arr.conj(), A.field, orthogonal
         )
-        return (np.abs(C) ** p).sum(axis=1), G
-
-    if p == 2:
-        f = _armijo(
-            (U, V), value, tangent,
-            lambda Umat, Vmat: _retract_pair(Umat, Vmat, A.field, orthogonal), -1.0, cfg.max_iters,
-        )
-        i = int(np.argmin(f))
-        return float(f[i]), U[i].copy(), V[i].copy()
+        return np.abs(C).sum(axis=1), G
 
     # diminishing steps t_k = scale / (|g_k| sqrt(k)), one tangent call per step
     fv, (Gu, Gv) = tangent(U, V)
@@ -424,22 +459,6 @@ def _descend_pairs(A: SensingMatrix, p: int, orthogonal: bool, cfg: OptimizerCon
         best_V[better] = V[better]
     i = int(np.argmin(best_f))
     return float(best_f[i]), best_U[i].copy(), best_V[i].copy()
-
-
-# ---------------------------------------------------------------------------
-# polish passes
-# ---------------------------------------------------------------------------
-
-def _pack(w: np.ndarray, field: Field) -> np.ndarray:
-    if field is Field.COMPLEX:
-        return np.concatenate([w.real, w.imag])
-    return np.asarray(w, dtype=np.float64)
-
-
-def _unpack(z: np.ndarray, d: int, field: Field) -> np.ndarray:
-    if field is Field.COMPLEX:
-        return z[:d] + 1j * z[d : 2 * d]
-    return z[:d]
 
 
 # A Gram-Schmidt pass that cancels all but 1/_GS_REPEAT of v leaves |<u, v>|
@@ -474,7 +493,8 @@ def _feasible_pair(zu, zv, d, field, orthogonal):
     return u, v / nv
 
 
-def _polish_pair_ambient(A, p, u0, v0, orthogonal):
+def _polish_pair_ambient(A, u0, v0, orthogonal):
+    """Nelder-Mead polish of the p=1 objective in ambient coordinates."""
     from scipy import optimize  # half a second to import; only the polish needs it
 
     d, field = A.d, A.field
@@ -484,7 +504,7 @@ def _polish_pair_ambient(A, p, u0, v0, orthogonal):
         pair = _feasible_pair(z[:w], z[w:], d, field, orthogonal)
         if pair is None:
             return 1e300
-        return pair_objective(A, pair[0], pair[1], p) ** p
+        return pair_objective(A, pair[0], pair[1], 1)
 
     z0 = np.concatenate([_pack(u0, field), _pack(v0, field)])
     res = optimize.minimize(
@@ -495,6 +515,246 @@ def _polish_pair_ambient(A, p, u0, v0, orthogonal):
     if pair is None:
         return None
     return float(res.fun), pair[0], pair[1]
+
+
+# ---------------------------------------------------------------------------
+# p=2 pair search: alternating eigen-steps, then Riemannian Newton
+# ---------------------------------------------------------------------------
+#
+# In packed real coordinates x (see `_pack`), c_j = x_u^T Q_j x_v with
+# Q_j = sum_B B_j^T B_j over the real blocks B of `_real_blocks`, and the
+# objective is f = sum_j c_j^2, a quartic.  The constraints h = 0 are
+# |x_u|^2 = |x_v|^2 = 1, Im<u, v> = (i u) . v = 0 over the complex field,
+# and <u, v> = 0 for M.  Their gradients are orthogonal at every feasible
+# point, and their Hessians are constant.
+
+# Newton settings: the stopping test on the tangent gradient norm (relative
+# to 1 + f), the safety cap on Newton iterations per run, the longest step,
+# the number of alternating eigen-step rounds that make the second start
+# set, the floor on |Hessian eigenvalue| (relative to 1 + the largest) that
+# bounds the step along flat directions, and the halvings a step may take
+# before it decreases f.
+_NEWTON_TOL = 1e-11
+_NEWTON_CAP = 100
+_NEWTON_RADIUS = 0.3
+_ALTERNATIONS = 20
+_CURVATURE_FLOOR = 1e-10
+_HALVINGS = 40
+
+
+def _real_blocks(A: SensingMatrix) -> tuple[np.ndarray, ...]:
+    """Real m x n matrices B with c_j = sum_B (B x_u)_j (B x_v)_j."""
+    if A.field is Field.REAL:
+        return (A.array,)
+    re, im = A.array.real, A.array.imag
+    return (np.hstack([re, -im]), np.hstack([im, re]))
+
+
+def _times_i(X: np.ndarray) -> np.ndarray:
+    """Multiplication by i in packed complex coordinates (last axis)."""
+    d = X.shape[-1] // 2
+    return np.concatenate([-X[..., d:], X[..., :d]], axis=-1)
+
+
+def _pair_terms(blocks, Xu, Xv) -> np.ndarray:
+    """The (runs, m) terms c_j at each row of Xu and Xv."""
+    return sum((Xu @ B.T) * (Xv @ B.T) for B in blocks)
+
+
+def _q_rows(blocks, X) -> np.ndarray:
+    """The (runs, m, n) rows Q_j x at each row of X: the gradient of c_j in the other vector."""
+    return sum((X @ B.T)[..., None] * B for B in blocks)
+
+
+def _excluded(X, field: Field, orthogonal: bool):
+    """Orthonormal columns that the partner of each row of X must be orthogonal to."""
+    cols = ([_times_i(X)] if field is Field.COMPLEX else []) + ([X] if orthogonal else [])
+    return np.stack(cols, axis=-1) if cols else None
+
+
+def _bottom_vectors(K, excluded) -> np.ndarray:
+    """Per run, the unit x orthogonal to `excluded` that minimizes |K x|^2."""
+    G = np.matmul(K.transpose(0, 2, 1), K)
+    if excluded is not None:
+        R = np.matmul(excluded, excluded.transpose(0, 2, 1))
+        P = np.eye(G.shape[-1]) - R
+        # the excluded directions get eigenvalues above the whole spectrum
+        lift = np.trace(G, axis1=1, axis2=2) + 1.0
+        G = np.matmul(np.matmul(P, G), P) + lift[:, None, None] * R
+    return np.linalg.eigh(G)[1][..., 0]
+
+
+def _normal_frame(Xu, Xv, field: Field, orthogonal: bool) -> np.ndarray:
+    """(runs, 2n, k) unit columns spanning the directions a Newton step must not take.
+
+    They are the constraint normals and, over the complex field, the
+    directions (i u, i v) and (i v, i u), along which f and the constraints
+    are constant: c_j = (|<a_j, u + v>|^2 - |<a_j, u - v>|^2) / 4 keeps its
+    value when u + v and u - v change phase independently.
+    """
+    zero = np.zeros_like(Xu)
+    cols = [np.concatenate([Xu, zero], axis=1), np.concatenate([zero, Xv], axis=1)]
+    if field is Field.COMPLEX:
+        iu, iv = _times_i(Xu), _times_i(Xv)
+        cols += [np.concatenate([-iv, iu], axis=1), np.concatenate([iu, iv], axis=1),
+                 np.concatenate([iv, iu], axis=1)]
+    if orthogonal:
+        cols.append(np.concatenate([Xv, Xu], axis=1))
+    frame = np.stack(cols, axis=-1)
+    return frame / np.linalg.norm(frame, axis=1, keepdims=True)
+
+
+def _second_order(blocks, X, field: Field, orthogonal: bool):
+    """Value, tangent gradient and Riemannian Hessian at each row of X.
+
+    The gradient and Hessian are given in an orthonormal basis of the
+    tangent space less the flat directions of `_normal_frame`, which is
+    returned too, with the multipliers.  The Riemannian Hessian is that of
+    the Lagrangian, P (H - sum_i lam_i Hess h_i) P, with the least-squares
+    multipliers lam_i of the gradient (Absil, Baker & Gallivan, Found.
+    Comput. Math. 2007).
+    """
+    n = X.shape[1] // 2
+    Xu, Xv = X[:, :n], X[:, n:]
+    Kv, Ku = _q_rows(blocks, Xv), _q_rows(blocks, Xu)
+    c = np.matmul(Kv, Xu[..., None])[..., 0]
+    jac = np.concatenate([Kv, Ku], axis=2)
+    grad = 2.0 * np.matmul(c[:, None, :], jac)[:, 0]
+    hess = 2.0 * np.matmul(jac.transpose(0, 2, 1), jac)
+    gu, gv = grad[:, :n], grad[:, n:]
+    eye = np.eye(n)
+    lam = [np.sum(Xu * gu, axis=1), np.sum(Xv * gv, axis=1)]
+    hess[:, :n, :n] -= lam[0][:, None, None] * eye
+    hess[:, n:, n:] -= lam[1][:, None, None] * eye
+    mixed = 2.0 * sum(np.matmul(B.T * c[:, None, :], B) for B in blocks)
+    if field is Field.COMPLEX:
+        # Im<u, v> = x_u^T J^T x_v, with J = multiplication by i; the rows
+        # of _times_i(eye) are the J e_k, so it is J^T
+        lam.append((np.sum(_times_i(Xu) * gv, axis=1) - np.sum(_times_i(Xv) * gu, axis=1)) / 2.0)
+        mixed -= lam[-1][:, None, None] * _times_i(eye)
+    if orthogonal:
+        lam.append((np.sum(Xv * gu, axis=1) + np.sum(Xu * gv, axis=1)) / 2.0)
+        mixed -= lam[-1][:, None, None] * eye
+    hess[:, :n, n:] += mixed
+    hess[:, n:, :n] += mixed.transpose(0, 2, 1)
+
+    normals = _normal_frame(Xu, Xv, field, orthogonal)
+    basis = np.linalg.qr(normals, mode="complete")[0][:, :, normals.shape[2]:]
+    g_t = np.matmul(grad[:, None, :], basis)[:, 0]
+    h_t = np.matmul(np.matmul(basis.transpose(0, 2, 1), hess), basis)
+    return np.sum(c * c, axis=1), g_t, h_t, basis, np.stack(lam, axis=1)
+
+
+def _newton_step(g_t, h_t, basis):
+    """Least Hessian eigenvalue and Newton step in packed coordinates, per row.
+
+    Each eigenvalue is replaced by its modulus, at least _CURVATURE_FLOOR
+    (1 + the largest modulus), so the step descends at saddles too; it is
+    then cut to length _NEWTON_RADIUS.
+    """
+    w, E = np.linalg.eigh(h_t)
+    size = np.abs(w)
+    size = np.maximum(size, _CURVATURE_FLOOR * (1.0 + size.max(axis=1, keepdims=True)))
+    coef = -np.matmul(g_t[:, None, :], E)[:, 0] / size
+    step = np.matmul(basis, np.matmul(E, coef[..., None]))[..., 0]
+    length = np.linalg.norm(step, axis=1)
+    step *= np.minimum(1.0, _NEWTON_RADIUS / np.maximum(length, 1e-300))[:, None]
+    return w[:, 0], step
+
+
+def _retract_packed(X, d: int, field: Field, orthogonal: bool) -> np.ndarray:
+    """`_retract_pair` on rows (x_u, x_v) of packed coordinates."""
+    n = X.shape[1] // 2
+    U, V = _retract_pair(_unpack(X[:, :n], d, field), _unpack(X[:, n:], d, field), field, orthogonal)
+    return np.concatenate([_pack(U, field), _pack(V, field)], axis=1)
+
+
+def _decrease(blocks, X, Xn, lam, field: Field, orthogonal: bool) -> np.ndarray:
+    """Change of the Lagrangian f - sum_i lam_i h_i from X to Xn, per row.
+
+    On feasible points it is the change of f.  Computed from the small
+    differences of the points, and free of the first-order effect of the
+    rounding left in the constraints, it keeps its sign near a minimum,
+    where the two values of f agree to more digits than they carry.
+    """
+    n = X.shape[1] // 2
+    Xu, Xv, Xvn = X[:, :n], X[:, n:], Xn[:, n:]
+    Du, Dv = Xn[:, :n] - Xu, Xvn - Xv
+    c = _pair_terms(blocks, Xu, Xv)
+    dc = _pair_terms(blocks, Du, Xvn) + _pair_terms(blocks, Xu, Dv)
+    dh = [np.sum(Du * (Xu + Du / 2.0), axis=1), np.sum(Dv * (Xv + Dv / 2.0), axis=1)]
+    if field is Field.COMPLEX:
+        dh.append(np.sum(_times_i(Du) * Xvn, axis=1) + np.sum(_times_i(Xu) * Dv, axis=1))
+    if orthogonal:
+        dh.append(np.sum(Du * Xvn, axis=1) + np.sum(Xu * Dv, axis=1))
+    return np.sum(dc * (2.0 * c + dc), axis=1) - np.sum(lam * np.stack(dh, axis=1), axis=1)
+
+
+def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
+    """Multi-start second-order search for the least sum_j c_j^2 over feasible pairs.
+
+    From the `cfg.starts` random starts, `_ALTERNATIONS` rounds of exact
+    block minimization make a second start set: for fixed u, f is a quadratic
+    form in v and the constraints are linear, so the best v is the bottom
+    eigenvector of the projected Gram matrix of the rows Q_j u, and then the
+    same for u.  Riemannian Newton (`_second_order`, `_newton_step`) then
+    runs from both sets.  A step is halved until it decreases f (measured
+    by `_decrease`), and each run stops when its tangent gradient norm is
+    at most _NEWTON_TOL (1 + f), or at _NEWTON_CAP steps.  Returns the
+    least value, its pair and the best run's `ConvergenceRecord`.
+    """
+    field, d = A.field, A.d
+    blocks = _real_blocks(A)
+    g = cfg.rng.generator()
+    U = sample_unit(field, d, g, n=cfg.starts)
+    V = sample_unit(field, d, g, n=cfg.starts)
+    U, V = _retract_pair(U, V, field, orthogonal)
+    Xu, Xv = _pack(U, field), _pack(V, field)
+    raw = np.concatenate([Xu, Xv], axis=1)
+    for _ in range(_ALTERNATIONS):
+        Xv = _bottom_vectors(_q_rows(blocks, Xu), _excluded(Xu, field, orthogonal))
+        Xu = _bottom_vectors(_q_rows(blocks, Xv), _excluded(Xv, field, orthogonal))
+
+    X = np.concatenate([_retract_packed(np.concatenate([Xu, Xv], axis=1), d, field, orthogonal), raw])
+    runs = X.shape[0]
+    f, gnorm, least = np.empty(runs), np.empty(runs), np.empty(runs)
+    stop = np.zeros(runs, dtype=np.int8)  # 0 running, 1 gradient test, 2 cap
+    steps = np.zeros(runs, dtype=np.int64)
+    for it in range(_NEWTON_CAP + 1):
+        live = np.flatnonzero(stop == 0)
+        if live.size == 0:
+            break
+        f[live], g_t, h_t, basis, lam = _second_order(blocks, X[live], field, orthogonal)
+        gnorm[live] = np.linalg.norm(g_t, axis=1)
+        least[live], step = _newton_step(g_t, h_t, basis)
+        done = gnorm[live] <= _NEWTON_TOL * (1.0 + f[live])
+        stop[live[done]] = 1
+        if it == _NEWTON_CAP:
+            stop[live[~done]] = 2
+            break
+        move, step, lam = live[~done], step[~done], lam[~done]
+        steps[move] += 1
+        scale = np.ones(move.size)
+        pending = np.arange(move.size)
+        for _ in range(_HALVINGS):
+            cand = _retract_packed(X[move[pending]] + scale[pending, None] * step[pending], d, field, orthogonal)
+            ok = _decrease(blocks, X[move[pending]], cand, lam[pending], field, orthogonal) < 0.0
+            X[move[pending[ok]]] = cand[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            scale[pending] *= 0.5
+
+    i = int(np.argmin(f))
+    record = ConvergenceRecord(
+        stop="gradient" if stop[i] == 1 else "cap",
+        iterations=int(steps[i]),
+        gradient_norm=float(gnorm[i]),
+        min_hessian_eigenvalue=float(least[i]),
+        runs_at_best=int(np.sum(f <= f[i] * (1.0 + 1e-9))),
+    )
+    n = X.shape[1] // 2
+    return float(f[i]), _unpack(X[i, :n], d, field), _unpack(X[i, n:], d, field), record
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +799,7 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
         raise ValueError("orthogonal pairs need dimension d >= 2")
     A, k = _unit_scale(A)
 
+    record = None
     if A.d == 2:
         solve = planar.exact_lower_p1 if p == 1 else planar.exact_lower_p2
         power, u, v = solve(A, orthogonal)
@@ -546,11 +807,14 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
         planar._check_witness(power, value ** p, "exact planar lower")
         method = Method.CLOSED_FORM
     else:
-        fbest, u, v = _descend_pairs(A, p, orthogonal, cfg)
-        if cfg.polish:
-            cand = _polish_pair_ambient(A, p, u, v, orthogonal)
-            if cand is not None and cand[0] < fbest:
-                fbest, u, v = cand
+        if p == 2:
+            fbest, u, v, record = _search_pairs(A, orthogonal, cfg)
+        else:
+            fbest, u, v = _descend_pairs(A, orthogonal, cfg)
+            if cfg.polish:
+                cand = _polish_pair_ambient(A, u, v, orthogonal)
+                if cand is not None and cand[0] < fbest:
+                    fbest, u, v = cand
         value = fbest ** (1.0 / p)
         method = Method.MULTI_START_LOCAL
 
@@ -560,7 +824,7 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
     witness = UnitPair(A.field, u, v, constraint)
     witness.validate()
     kind = EstimateKind.ORTHOGONAL_M if orthogonal else EstimateKind.LOWER_L
-    return _rescaled(LipschitzEstimate(value, kind, p, witness, method), k)
+    return _rescaled(LipschitzEstimate(value, kind, p, witness, method, convergence=record), k)
 
 
 def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None) -> LipschitzEstimate:
@@ -570,10 +834,17 @@ def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
     settings: at p=2, L^2 is the smallest eigenvalue of a 2x2 (real) or 3x3
     (complex) matrix in the planar coordinates, and at p=1, L is the least
     value over the finitely many vertices of `planar.exact_lower_p1`.
-    Otherwise it runs multi-start projected gradient on the product of unit
-    spheres, with the tangent projection additionally cancelling motion
-    that would violate Im<u, v> = 0 (vacuous over the reals).  p=1 uses
-    diminishing-step subgradient descent; both p end with a simplex polish.
+    Otherwise it runs a multi-start search over unit pairs with
+    Im<u, v> = 0 (vacuous over the reals).  At p=2, each of the
+    `cfg.starts` random starts and its image under 20 rounds of exact
+    alternating eigen-steps (for fixed u the best v is a bottom
+    eigenvector, and then the same for u) start a Riemannian Newton run
+    with the exact Hessian.  Every step decreases f, and each run stops when
+    its tangent gradient norm is at most 1e-11 (1 + L^2), under a fixed
+    safety cap; `max_iters` and `polish` do not apply, and the estimate
+    carries a `ConvergenceRecord`.  At p=1 it runs diminishing-step
+    projected subgradient descent and, with `cfg.polish`, a Nelder-Mead
+    polish.
     """
     return _lower_estimate(A, p, cfg or OptimizerConfig(), orthogonal=False)
 

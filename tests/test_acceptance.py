@@ -12,6 +12,7 @@ import io
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -47,9 +48,16 @@ from prcond.oracle import grid_lower_l, grid_upper_u, mc_expectation
 
 SWEEP_OPT = OptimizerConfig(starts=12, max_iters=300, subgradient_iters=1500)
 
+# each criterion appends its time against its budget here (git-ignored), so
+# that the margins can be compared from one change to the next
+TIMES_LOG = Path(__file__).resolve().parent.parent / "acceptance-times.jsonl"
+
 
 def _finish(num: int, name: str, failures: list, t0: float, budget: float) -> None:
     elapsed = time.perf_counter() - t0
+    entry = {"criterion": num, "elapsed_s": round(elapsed, 3), "budget_s": budget}
+    with open(TIMES_LOG, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(entry) + "\n")
     over = elapsed >= budget
     status = "FAIL" if (failures or over) else "pass"
     print(

@@ -13,8 +13,8 @@ PACKAGE = Path(prcond.__file__).resolve().parent
 
 EXPORTED = {
     "BoundSpec", "CSV_HEADER", "ConditionReport", "ConsistencyError",
-    "Constraint", "ConvergenceRow", "EstimateKind", "ExperimentConfig",
-    "ExperimentRecord", "Field", "GENERATOR_NAME", "GridSpec",
+    "Constraint", "ConvergenceRecord", "ConvergenceRow", "EstimateKind",
+    "ExperimentConfig", "ExperimentRecord", "Field", "GENERATOR_NAME", "GridSpec",
     "HarmonicConstants", "LipschitzEstimate", "McEstimate", "Method",
     "NO_PHASE_RETRIEVAL_FLAG", "OptimizerConfig", "PolarRow", "RngSpec",
     "SQRT3", "SensingMatrix", "SubTanCheck", "SuiteResult", "SweepResult",
@@ -146,13 +146,26 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_cli_calls_without_a_polish_never_import_scipy_optimize():
     # scipy.optimize takes about half a second to import; only the
-    # Nelder-Mead polish uses it, and no planar constant runs it
+    # Nelder-Mead polish of the p=1 search at d >= 3 uses it.  No planar
+    # constant and no p=2 constant at any d runs it.
     code = """
-import contextlib, io, sys
+import contextlib, io, os, sys, tempfile
 import prcond, prcond.cli
+from prcond.core import Field, RngSpec, sample_gaussian, save_matrix
+from prcond.lipschitz import OptimizerConfig, lower_lipschitz, orthogonal_lower_bound
 from prcond.oracle import verify_all
 assert "scipy.optimize" not in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
+cfg = OptimizerConfig(starts=4, polish=True)
+for field in (Field.REAL, Field.COMPLEX):
+    A = sample_gaussian(field, 12, 3, RngSpec(5, 0))
+    lower_lipschitz(A, 2, cfg)
+    orthogonal_lower_bound(A, 2, cfg)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    path = os.path.join(tmp, "a.json")
+    save_matrix(sample_gaussian(Field.COMPLEX, 10, 3, RngSpec(6, 0)), path)
+    assert prcond.cli.main(["beta", "--matrix", path, "--p", "2", "--starts", "8"]) == 0
+    assert prcond.cli.main(["experiment", "--field", "real", "--p", "2", "--m", "30", "--d", "3",
+                            "--trials", "2", "--starts", "8", "--format", "json"]) == 0
     assert prcond.cli.main(["beta", "--m", "9", "--p", "2"]) == 0
     assert prcond.cli.main(["beta", "--m", "7", "--p", "1"]) == 0
     # widened to complex the harmonic frame loses injectivity: exit 3
@@ -171,7 +184,7 @@ import sys
 from prcond.core import Field, RngSpec, sample_gaussian
 from prcond.lipschitz import OptimizerConfig, lower_lipschitz
 A = sample_gaussian(Field.REAL, 8, 3, RngSpec(5, 0))
-lower_lipschitz(A, 2, OptimizerConfig(starts=2, max_iters=20, polish=True))
+lower_lipschitz(A, 1, OptimizerConfig(starts=2, subgradient_iters=20, polish=True))
 print("scipy.optimize" in sys.modules)
 """
     assert _fresh_interpreter(code) == "True"

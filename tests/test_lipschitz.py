@@ -122,8 +122,9 @@ def test_lower_witnesses_are_feasible_and_attaining():
 
 
 def test_polished_orthogonal_witness_stays_orthogonal():
-    # the ambient polish drives v nearly parallel to u here; one Gram-Schmidt
-    # pass left |<u, v>| = 8.1e-9 and validation raised "pair is not orthogonal"
+    # an ambient polish of this search once drove v nearly parallel to u; one
+    # Gram-Schmidt pass left |<u, v>| = 8.1e-9 and validation raised "pair is
+    # not orthogonal".  The Newton witness must stay as orthogonal.
     A = sample_gaussian(Field.COMPLEX, 150, 5, RngSpec(908, 5150))
     cfg = OptimizerConfig(starts=5, max_iters=40, subgradient_iters=100, rng=RngSpec(7, 3))
     est = orthogonal_lower_bound(A, 2, cfg)
@@ -132,6 +133,138 @@ def test_polished_orthogonal_witness_stays_orthogonal():
     est.witness.validate()
     assert abs(est.witness.inner()) < 1e-13
     assert pair_objective(A, est.witness.u, est.witness.v, 2) == pytest.approx(est.value, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# p=2 pair search at d >= 3
+# ---------------------------------------------------------------------------
+
+# the acceptance sweep settings (criteria 3 and 4)
+SWEEP = OptimizerConfig(starts=12, max_iters=300, subgradient_iters=1500)
+
+# (field, d, m, L, M) at p=2 from the search the Newton search replaced (300
+# Armijo steps and a Nelder-Mead polish) at SWEEP, on
+# sample_gaussian(field, m, d, RngSpec(9, 10000 * is_complex + 100 * d + m)),
+# with m at the injectivity threshold, one above it, twice it and 12 d
+ARMIJO_P2 = [
+    (Field.REAL, 3, 5, 0.0007555830047798708, 0.04604758800473953),
+    (Field.REAL, 3, 6, 0.2809781565773456, 0.3598501444087233),
+    (Field.REAL, 3, 10, 0.16571526290311142, 0.8869663137893317),
+    (Field.REAL, 3, 36, 3.760371379720105, 3.775620555723987),
+    (Field.REAL, 4, 7, 0.0007812907333372596, 0.06601424396680218),
+    (Field.REAL, 4, 8, 0.06002625977910796, 0.08506244126730285),
+    (Field.REAL, 4, 14, 0.3922949225042237, 0.5242462788399778),
+    (Field.REAL, 4, 48, 3.465959569045798, 3.549052238090278),
+    (Field.REAL, 5, 9, 0.01864680161946271, 0.07511215993347538),
+    (Field.REAL, 5, 10, 0.0008788126377615841, 0.02380558737716505),
+    (Field.REAL, 5, 18, 0.5216059199360492, 0.5232406258096811),
+    (Field.REAL, 5, 60, 3.234579959061503, 3.2392294250206235),
+    (Field.COMPLEX, 3, 8, 0.061577293809387285, 0.07225012162970715),
+    (Field.COMPLEX, 3, 9, 0.14423026849068166, 0.29739844802802584),
+    (Field.COMPLEX, 3, 16, 0.7193492492104347, 0.7831419390587658),
+    (Field.COMPLEX, 3, 36, 2.0814311183524867, 2.188348850683852),
+    (Field.COMPLEX, 4, 12, 0.0044831022237401385, 0.05704344616684105),
+    (Field.COMPLEX, 4, 13, 0.07647913973475304, 0.1135073749457437),
+    (Field.COMPLEX, 4, 24, 0.798792186742844, 0.7995868115889668),
+    (Field.COMPLEX, 4, 48, 2.2455595013789726, 2.274268590502843),
+    (Field.COMPLEX, 5, 16, 0.011737502420835587, 0.036857833674570725),
+    (Field.COMPLEX, 5, 17, 0.05625228958989539, 0.05403826536318958),
+    (Field.COMPLEX, 5, 32, 0.7923197267828431, 0.9055867482117452),
+    (Field.COMPLEX, 5, 60, 2.074858742030016, 2.080722810174686),
+]
+
+
+@pytest.mark.parametrize("field, d, m, L_old, M_old", ARMIJO_P2)
+def test_p2_search_is_never_above_the_armijo_search(field, d, m, L_old, M_old):
+    A = sample_gaussian(field, m, d, RngSpec(9, 10000 * (field is Field.COMPLEX) + 100 * d + m))
+    low = lower_lipschitz(A, 2, SWEEP)
+    orth = orthogonal_lower_bound(A, 2, SWEEP)
+    assert low.value <= L_old * (1.0 + 1e-12)
+    assert orth.value <= M_old * (1.0 + 1e-12)
+    assert low.value <= orth.value * (1.0 + 1e-12)
+
+
+def test_p2_search_leaves_the_high_basin_just_above_the_threshold():
+    # complex d=5 at m = 4d - 4: 300 Armijo steps stopped at L = 0.03318, and
+    # the polish or 30000 steps at 0.019411
+    A = sample_gaussian(Field.COMPLEX, 16, 5, RngSpec(99, 165))
+    assert lower_lipschitz(A, 2, SWEEP).value <= 0.00892
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_p2_search_does_not_depend_on_the_iteration_budget(field):
+    A = sample_gaussian(field, 12, 3, RngSpec(11, 0))
+    results = set()
+    for budget in (300, 3000, 30000):
+        cfg = OptimizerConfig(starts=8, max_iters=budget)
+        for est in (lower_lipschitz(A, 2, cfg), orthogonal_lower_bound(A, 2, cfg)):
+            results.add((est.kind, est.value, est.witness.u.tobytes(), est.witness.v.tobytes()))
+    assert len(results) == 2
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_p2_witness_is_a_second_order_minimum(field, orthogonal):
+    A = sample_gaussian(field, 14, 3, RngSpec(12, int(orthogonal)))
+    est = (orthogonal_lower_bound if orthogonal else lower_lipschitz)(A, 2, SWEEP)
+    rec = est.convergence
+    assert rec.stop == "gradient" and 0 <= rec.iterations < lipschitz._NEWTON_CAP
+    assert rec.gradient_norm <= lipschitz._NEWTON_TOL * (1.0 + est.value ** 2)
+    assert rec.min_hessian_eigenvalue >= -1e-9
+    assert 1 <= rec.runs_at_best <= 2 * SWEEP.starts
+    assert "convergence" not in estimate_to_json_dict(est, field)
+
+    # 256 feasible pairs at distances 1e-7 to 1e-2 from the witness
+    rng = np.random.default_rng(3)
+    shape = (256, A.d)
+    radius = np.logspace(-7, -2, 256)[:, None]
+    du, dv = rng.standard_normal(shape), rng.standard_normal(shape)
+    if field is Field.COMPLEX:
+        du, dv = du + 1j * rng.standard_normal(shape), dv + 1j * rng.standard_normal(shape)
+    U, V = lipschitz._retract_pair(
+        est.witness.u + radius * du, est.witness.v + radius * dv, field, orthogonal
+    )
+    near = [pair_objective(A, u, v, 2) for u, v in zip(U, V)]
+    assert min(near) >= est.value - 1e-12
+
+
+def test_complex_pair_objective_ignores_the_phases_of_u_plus_v_and_u_minus_v():
+    # c_j = (|<a_j, u + v>|^2 - |<a_j, u - v>|^2) / 4, so the search removes
+    # both (i u, i v) and (i v, i u) from its steps
+    A = sample_gaussian(Field.COMPLEX, 9, 3, RngSpec(13, 0))
+    est = orthogonal_lower_bound(A, 2, QUICK)
+    u, v = est.witness.u, est.witness.v
+    for theta, phi in ((0.3, -1.1), (2.0, 0.5)):
+        s, t = np.exp(1j * theta) * (u + v), np.exp(1j * phi) * (u - v)
+        pair = UnitPair(Field.COMPLEX, (s + t) / 2.0, (s - t) / 2.0, Constraint.ORTHOGONAL)
+        pair.validate()
+        assert pair_objective(A, pair.u, pair.v, 2) == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("orthogonal", [False, True])
+def test_riemannian_hessian_matches_second_differences(field, orthogonal):
+    # at a critical point, f along any retracted line has second derivative
+    # the Riemannian Hessian's quadratic form
+    A = sample_gaussian(field, 14, 3, RngSpec(4, 1))
+    est = (orthogonal_lower_bound if orthogonal else lower_lipschitz)(A, 2, QUICK)
+    blocks = lipschitz._real_blocks(A)
+    X = np.concatenate([lipschitz._pack(est.witness.u, field), lipschitz._pack(est.witness.v, field)])[None]
+
+    def f(Y):
+        Y = lipschitz._retract_packed(Y, A.d, field, orthogonal)
+        n = Y.shape[1] // 2
+        return float(np.sum(lipschitz._pair_terms(blocks, Y[:, :n], Y[:, n:]) ** 2))
+
+    _f, g_t, h_t, basis, _lam = lipschitz._second_order(blocks, X, field, orthogonal)
+    assert basis.shape[2] == {Field.REAL: 2 * A.d - 2, Field.COMPLEX: 4 * A.d - 5}[field] - orthogonal
+    rng = np.random.default_rng(5)
+    t = 1e-4
+    for _ in range(4):
+        z = rng.standard_normal(basis.shape[2])
+        xi = basis[0] @ z
+        second = (f(X + t * xi) + f(X - t * xi) - 2.0 * f(X)) / t ** 2
+        assert second == pytest.approx(float(z @ h_t[0] @ z), rel=1e-5)
 
 
 @pytest.mark.parametrize("orthogonal", [True, False])
