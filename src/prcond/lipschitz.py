@@ -14,10 +14,11 @@ planar matrices (d=2) every constant comes from the planar coordinates of
 vertices of a piecewise-linear objective for L and M at p=1.  Everything
 else is nonconvex and runs batched multi-start searches on the constraint
 manifold: an Armijo gradient ascent for U at p=2; for L and M at p=2,
-alternating exact eigen-steps and then Riemannian Newton with the exact
-Hessian, stopped on a gradient test and reported with a
-`ConvergenceRecord`; and for L and M at p=1, a subgradient descent of the
-kinked objective with a simplex polish.
+Riemannian Newton with the exact Hessian from three points per start (the
+start, its image under alternating exact eigen-steps, and the start after
+a few Armijo descent steps), stopped on a gradient test and reported with
+a `ConvergenceRecord`; and for L and M at p=1, a subgradient descent of
+the kinked objective with a simplex polish.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
 through their `method` tag.  On planar matrices the grid oracle in `oracle`
@@ -87,17 +88,19 @@ class Method(enum.Enum):
 class ConvergenceRecord:
     """How the p=2 pair search for L or M at d >= 3 ended, for its best run.
 
-    The search runs Newton from two points per start (see `lower_lipschitz`).
-    `stop` is "gradient" when the best run's tangent gradient norm passed
-    the stopping test and "cap" when the safety cap ended it; `iterations`
-    counts its Newton steps.  `gradient_norm` is its final tangent gradient
+    The search runs Newton from three points per start (see
+    `lower_lipschitz`).  `stop` is "gradient" when the best run's tangent
+    gradient norm passed the stopping test and "cap" when the safety cap
+    ended it; `iterations` counts its Newton steps.  `gradient_norm` is its final tangent gradient
     norm and `min_hessian_eigenvalue` the least eigenvalue of the Riemannian
     Hessian there, without the directions along which the objective is
     constant over the complex field (see `_normal_frame`): at a local
     minimum the norm is near zero and the eigenvalue is not negative.  Both
     are of the objective sum_j c_j^2 (L^2 or M^2) on the matrix rescaled
     into unit size (see `_unit_scale`).  `runs_at_best` counts the runs
-    whose objective ended within 1e-9 relative of the best.
+    whose objective f ended at most 1e-9 (1 + f_best) above the best, the
+    scale of the stopping test, so runs that all reach f = 0 up to rounding
+    are all counted.
     """
 
     stop: str
@@ -135,10 +138,11 @@ class OptimizerConfig:
     budget of the Armijo ascent for U at p=2, `subgradient_iters` that of
     the nonsmooth p=1 descent for L and M, `polish` enables the simplex
     refinement that ends the p=1 descent, and `rng` pins the starts.  The
-    p=2 search for L and M uses only `starts` and `rng`: it stops on a
-    gradient test, under a fixed safety cap.  The line-search and Newton
-    settings are module constants.  At d=2 every constant is solved exactly
-    and no search setting applies.
+    p=2 search for L and M uses only `starts` and `rng`: its few Armijo
+    descent steps are a fixed number, and it stops on a gradient test,
+    under a fixed safety cap.  The line-search and Newton settings are
+    module constants.  At d=2 every constant is solved exactly and no
+    search setting applies.
     """
 
     starts: int = 64
@@ -300,7 +304,7 @@ def _sq_norms(blocks) -> np.ndarray:
 
 
 # Line-search settings: the stopping test on the tangent gradient norm
-# (relative to 1 + f), the first trial step, the backtracking factor and the
+# (relative to 1 + |f|), the first trial step, the backtracking factor and the
 # Armijo sufficient-increase constant.
 _GRADIENT_TOL = 1e-10
 _STEP_INIT = 1.0
@@ -309,13 +313,15 @@ _ARMIJO = 1e-4
 
 
 def _armijo(U, value, tangent, retract, max_iters: int):
-    """Batched Armijo ascent on the unit sphere, one start per row of U.
+    """Batched Armijo ascent on a manifold, one start per row of U.
 
-    The U ascent at p=2 is its one caller.  `value(U)` gives the n objective
-    values, and `tangent(U)` returns them together with the tangent gradient.
-    Each trial step is mapped back by `retract` and accepted at the Armijo
-    point (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008, sec. 4.2).  Updates U in place and returns the final
+    Its two callers are the U ascent at p=2 on the unit sphere and
+    `_descent_starts`, a few steps on the negated pair objective in packed
+    coordinates.  `value(U)` gives the n objective values, and `tangent(U)`
+    returns them together with the tangent gradient.  Each trial step is
+    mapped back by `retract` and accepted at the Armijo point (Absil,
+    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+    sec. 4.2).  Updates U in place and returns the final
     values.
     """
     f = value(U)
@@ -325,7 +331,7 @@ def _armijo(U, value, tangent, retract, max_iters: int):
     for _ in range(max_iters):
         fs, G = tangent(U)
         gnorm2 = np.sum(np.abs(G) ** 2, axis=1)
-        active = alive & (gnorm2 > (_GRADIENT_TOL * (1.0 + fs)) ** 2)
+        active = alive & (gnorm2 > (_GRADIENT_TOL * (1.0 + np.abs(fs))) ** 2)
         if not active.any():
             break
         step = np.minimum(step * 2.0, 1e6)
@@ -530,16 +536,22 @@ def _polish_pair_ambient(A, u0, v0, orthogonal):
 
 # Newton settings: the stopping test on the tangent gradient norm (relative
 # to 1 + f), the safety cap on Newton iterations per run, the longest step,
-# the number of alternating eigen-step rounds that make the second start
-# set, the floor on |Hessian eigenvalue| (relative to 1 + the largest) that
-# bounds the step along flat directions, and the halvings a step may take
-# before it decreases f.
+# the number of alternating eigen-step rounds that make one start set and of
+# Armijo descent steps that make another, the floor on |Hessian eigenvalue|
+# (relative to 1 + the largest) that bounds the step along flat directions,
+# and the halvings a step may take before it decreases f.
 _NEWTON_TOL = 1e-11
 _NEWTON_CAP = 100
 _NEWTON_RADIUS = 0.3
 _ALTERNATIONS = 20
+_DESCENT_STEPS = 5
 _CURVATURE_FLOOR = 1e-10
 _HALVINGS = 40
+
+# The (rows, m, n) tensors of `_q_rows` and `_second_order` are built for at
+# most this many elements at a time (`_chunked`), so memory stays bounded in m
+# and in the number of starts.
+_CHUNK_ELEMENTS = 1 << 21
 
 
 def _real_blocks(A: SensingMatrix) -> tuple[np.ndarray, ...]:
@@ -566,10 +578,30 @@ def _q_rows(blocks, X) -> np.ndarray:
     return sum((X @ B.T)[..., None] * B for B in blocks)
 
 
-def _excluded(X, field: Field, orthogonal: bool):
-    """Orthonormal columns that the partner of each row of X must be orthogonal to."""
-    cols = ([_times_i(X)] if field is Field.COMPLEX else []) + ([X] if orthogonal else [])
-    return np.stack(cols, axis=-1) if cols else None
+def _identity(X: np.ndarray) -> np.ndarray:
+    return X
+
+
+def _bilinear_constraints(field: Field, orthogonal: bool):
+    """The constraints h = (T x_u) . x_v = 0 of a feasible pair besides |u| = |v| = 1.
+
+    Each is returned as (T, s), with T a linear map on the last axis and
+    T^T = s T: over the complex field Im<u, v> = (i u) . v, and for M also
+    Re<u, v> = u . v.  Their gradients are (s T x_v, T x_u), and their
+    Hessians are constant.
+    """
+    return ([(_times_i, -1.0)] if field is Field.COMPLEX else []) + ([(_identity, 1.0)] if orthogonal else [])
+
+
+def _best_partner(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
+    """Per row of X, the unit feasible partner y that minimizes sum_j (x^T Q_j y)^2.
+
+    The constraints are linear in the partner: it must be orthogonal to
+    T x for each bilinear constraint.
+    """
+    cons = _bilinear_constraints(field, orthogonal)
+    excluded = np.stack([T(X) for T, _s in cons], axis=-1) if cons else None
+    return _bottom_vectors(_q_rows(blocks, X), excluded)
 
 
 def _bottom_vectors(K, excluded) -> np.ndarray:
@@ -584,6 +616,14 @@ def _bottom_vectors(K, excluded) -> np.ndarray:
     return np.linalg.eigh(G)[1][..., 0]
 
 
+def _constraint_normals(Xu, Xv, field: Field, orthogonal: bool) -> list[np.ndarray]:
+    """(runs, 2n) constraint gradients at feasible pairs, orthogonal to each other."""
+    zero = np.zeros_like(Xu)
+    cols = [np.concatenate([Xu, zero], axis=1), np.concatenate([zero, Xv], axis=1)]
+    cols += [np.concatenate([s * T(Xv), T(Xu)], axis=1) for T, s in _bilinear_constraints(field, orthogonal)]
+    return cols
+
+
 def _normal_frame(Xu, Xv, field: Field, orthogonal: bool) -> np.ndarray:
     """(runs, 2n, k) unit columns spanning the directions a Newton step must not take.
 
@@ -592,14 +632,10 @@ def _normal_frame(Xu, Xv, field: Field, orthogonal: bool) -> np.ndarray:
     are constant: c_j = (|<a_j, u + v>|^2 - |<a_j, u - v>|^2) / 4 keeps its
     value when u + v and u - v change phase independently.
     """
-    zero = np.zeros_like(Xu)
-    cols = [np.concatenate([Xu, zero], axis=1), np.concatenate([zero, Xv], axis=1)]
+    cols = _constraint_normals(Xu, Xv, field, orthogonal)
     if field is Field.COMPLEX:
         iu, iv = _times_i(Xu), _times_i(Xv)
-        cols += [np.concatenate([-iv, iu], axis=1), np.concatenate([iu, iv], axis=1),
-                 np.concatenate([iv, iu], axis=1)]
-    if orthogonal:
-        cols.append(np.concatenate([Xv, Xu], axis=1))
+        cols += [np.concatenate([iu, iv], axis=1), np.concatenate([iv, iu], axis=1)]
     frame = np.stack(cols, axis=-1)
     return frame / np.linalg.norm(frame, axis=1, keepdims=True)
 
@@ -627,14 +663,10 @@ def _second_order(blocks, X, field: Field, orthogonal: bool):
     hess[:, :n, :n] -= lam[0][:, None, None] * eye
     hess[:, n:, n:] -= lam[1][:, None, None] * eye
     mixed = 2.0 * sum(np.matmul(B.T * c[:, None, :], B) for B in blocks)
-    if field is Field.COMPLEX:
-        # Im<u, v> = x_u^T J^T x_v, with J = multiplication by i; the rows
-        # of _times_i(eye) are the J e_k, so it is J^T
-        lam.append((np.sum(_times_i(Xu) * gv, axis=1) - np.sum(_times_i(Xv) * gu, axis=1)) / 2.0)
-        mixed -= lam[-1][:, None, None] * _times_i(eye)
-    if orthogonal:
-        lam.append((np.sum(Xv * gu, axis=1) + np.sum(Xu * gv, axis=1)) / 2.0)
-        mixed -= lam[-1][:, None, None] * eye
+    for T, s in _bilinear_constraints(field, orthogonal):
+        # h = x_u^T T^T x_v, and the rows of T(eye) are the T e_k, so it is T^T
+        lam.append((s * np.sum(T(Xv) * gu, axis=1) + np.sum(T(Xu) * gv, axis=1)) / 2.0)
+        mixed -= lam[-1][:, None, None] * T(eye)
     hess[:, :n, n:] += mixed
     hess[:, n:, :n] += mixed.transpose(0, 2, 1)
 
@@ -683,25 +715,64 @@ def _decrease(blocks, X, Xn, lam, field: Field, orthogonal: bool) -> np.ndarray:
     c = _pair_terms(blocks, Xu, Xv)
     dc = _pair_terms(blocks, Du, Xvn) + _pair_terms(blocks, Xu, Dv)
     dh = [np.sum(Du * (Xu + Du / 2.0), axis=1), np.sum(Dv * (Xv + Dv / 2.0), axis=1)]
-    if field is Field.COMPLEX:
-        dh.append(np.sum(_times_i(Du) * Xvn, axis=1) + np.sum(_times_i(Xu) * Dv, axis=1))
-    if orthogonal:
-        dh.append(np.sum(Du * Xvn, axis=1) + np.sum(Xu * Dv, axis=1))
+    for T, _s in _bilinear_constraints(field, orthogonal):
+        dh.append(np.sum(T(Du) * Xvn, axis=1) + np.sum(T(Xu) * Dv, axis=1))
     return np.sum(dc * (2.0 * c + dc), axis=1) - np.sum(lam * np.stack(dh, axis=1), axis=1)
+
+
+def _chunked(fn, blocks, X, *args):
+    """fn(blocks, X, *args) over row chunks of X of at most _CHUNK_ELEMENTS / (m n)
+    rows, n the width of X; the array outputs are joined along the rows."""
+    rows = max(1, _CHUNK_ELEMENTS // (blocks[0].shape[0] * X.shape[1]))
+    parts = [fn(blocks, X[i : i + rows], *args) for i in range(0, X.shape[0], rows)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _descent_starts(blocks, X, d: int, field: Field, orthogonal: bool) -> np.ndarray:
+    """The rows of X after _DESCENT_STEPS Armijo steps of Riemannian gradient descent of f.
+
+    The first steps of gradient descent decide the basin it ends in; Newton
+    from a random start can jump to another basin, so these points start
+    Newton runs of their own.
+    """
+    n = X.shape[1] // 2
+
+    def value(Y):
+        return -np.sum(_pair_terms(blocks, Y[:, :n], Y[:, n:]) ** 2, axis=1)
+
+    def tangent(Y):
+        Yu, Yv = Y[:, :n], Y[:, n:]
+        c = _pair_terms(blocks, Yu, Yv)
+        G = -2.0 * np.concatenate(
+            [sum((c * (Yv @ B.T)) @ B for B in blocks), sum((c * (Yu @ B.T)) @ B for B in blocks)], axis=1
+        )
+        for N in _constraint_normals(Yu, Yv, field, orthogonal):
+            N = N / np.linalg.norm(N, axis=1, keepdims=True)
+            G -= np.sum(N * G, axis=1, keepdims=True) * N
+        return -np.sum(c * c, axis=1), G
+
+    X = X.copy()
+    _armijo(X, value, tangent, lambda Y: _retract_packed(Y, d, field, orthogonal), _DESCENT_STEPS)
+    return X
 
 
 def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
     """Multi-start second-order search for the least sum_j c_j^2 over feasible pairs.
 
-    From the `cfg.starts` random starts, `_ALTERNATIONS` rounds of exact
-    block minimization make a second start set: for fixed u, f is a quadratic
-    form in v and the constraints are linear, so the best v is the bottom
-    eigenvector of the projected Gram matrix of the rows Q_j u, and then the
-    same for u.  Riemannian Newton (`_second_order`, `_newton_step`) then
-    runs from both sets.  A step is halved until it decreases f (measured
-    by `_decrease`), and each run stops when its tangent gradient norm is
-    at most _NEWTON_TOL (1 + f), or at _NEWTON_CAP steps.  Returns the
-    least value, its pair and the best run's `ConvergenceRecord`.
+    Riemannian Newton (`_second_order`, `_newton_step`) runs from three
+    points per random start: the start itself; its image under
+    `_ALTERNATIONS` rounds of exact block minimization (`_best_partner`:
+    for fixed u, f is a quadratic form in v and the constraints are linear,
+    so the best v is a bottom eigenvector, and then the same for u); and the
+    start after `_DESCENT_STEPS` Armijo descent steps (`_descent_starts`).
+    A step is halved until it decreases f (measured by `_decrease`), and
+    each run stops when its tangent gradient norm is at most
+    _NEWTON_TOL (1 + f), or at _NEWTON_CAP steps.  Returns the least value,
+    its pair and the best run's `ConvergenceRecord`.
     """
     field, d = A.field, A.d
     blocks = _real_blocks(A)
@@ -712,10 +783,11 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
     Xu, Xv = _pack(U, field), _pack(V, field)
     raw = np.concatenate([Xu, Xv], axis=1)
     for _ in range(_ALTERNATIONS):
-        Xv = _bottom_vectors(_q_rows(blocks, Xu), _excluded(Xu, field, orthogonal))
-        Xu = _bottom_vectors(_q_rows(blocks, Xv), _excluded(Xv, field, orthogonal))
+        Xv = _chunked(_best_partner, blocks, Xu, field, orthogonal)
+        Xu = _chunked(_best_partner, blocks, Xv, field, orthogonal)
+    alternated = _retract_packed(np.concatenate([Xu, Xv], axis=1), d, field, orthogonal)
 
-    X = np.concatenate([_retract_packed(np.concatenate([Xu, Xv], axis=1), d, field, orthogonal), raw])
+    X = np.concatenate([alternated, raw, _descent_starts(blocks, raw, d, field, orthogonal)])
     runs = X.shape[0]
     f, gnorm, least = np.empty(runs), np.empty(runs), np.empty(runs)
     stop = np.zeros(runs, dtype=np.int8)  # 0 running, 1 gradient test, 2 cap
@@ -724,7 +796,7 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
         live = np.flatnonzero(stop == 0)
         if live.size == 0:
             break
-        f[live], g_t, h_t, basis, lam = _second_order(blocks, X[live], field, orthogonal)
+        f[live], g_t, h_t, basis, lam = _chunked(_second_order, blocks, X[live], field, orthogonal)
         gnorm[live] = np.linalg.norm(g_t, axis=1)
         least[live], step = _newton_step(g_t, h_t, basis)
         done = gnorm[live] <= _NEWTON_TOL * (1.0 + f[live])
@@ -751,7 +823,7 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
         iterations=int(steps[i]),
         gradient_norm=float(gnorm[i]),
         min_hessian_eigenvalue=float(least[i]),
-        runs_at_best=int(np.sum(f <= f[i] * (1.0 + 1e-9))),
+        runs_at_best=int(np.sum(f - f[i] <= 1e-9 * (1.0 + f[i]))),
     )
     n = X.shape[1] // 2
     return float(f[i]), _unpack(X[i, :n], d, field), _unpack(X[i, n:], d, field), record
@@ -836,10 +908,11 @@ def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
     value over the finitely many vertices of `planar.exact_lower_p1`.
     Otherwise it runs a multi-start search over unit pairs with
     Im<u, v> = 0 (vacuous over the reals).  At p=2, each of the
-    `cfg.starts` random starts and its image under 20 rounds of exact
+    `cfg.starts` random starts, its image under 20 rounds of exact
     alternating eigen-steps (for fixed u the best v is a bottom
-    eigenvector, and then the same for u) start a Riemannian Newton run
-    with the exact Hessian.  Every step decreases f, and each run stops when
+    eigenvector, and then the same for u) and its image under 5 Armijo
+    gradient descent steps start a Riemannian Newton run with the exact
+    Hessian.  Every step decreases f, and each run stops when
     its tangent gradient norm is at most 1e-11 (1 + L^2), under a fixed
     safety cap; `max_iters` and `polish` do not apply, and the estimate
     carries a `ConvergenceRecord`.  At p=1 it runs diminishing-step
