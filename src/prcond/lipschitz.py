@@ -548,10 +548,10 @@ _DESCENT_STEPS = 5
 _CURVATURE_FLOOR = 1e-10
 _HALVINGS = 40
 
-# The (rows, m, n) tensors of `_q_rows` and `_second_order` are built for at
-# most this many elements at a time (`_chunked`), so memory stays bounded in m
-# and in the number of starts.
-_CHUNK_ELEMENTS = 1 << 21
+# `_search_pairs` takes the starts in groups whose (runs, m, 2n) tensors of
+# `_second_order` hold at most this many elements, so its memory does not
+# grow with the number of starts.
+_GROUP_ELEMENTS = 1 << 21
 
 
 def _real_blocks(A: SensingMatrix) -> tuple[np.ndarray, ...]:
@@ -720,18 +720,6 @@ def _decrease(blocks, X, Xn, lam, field: Field, orthogonal: bool) -> np.ndarray:
     return np.sum(dc * (2.0 * c + dc), axis=1) - np.sum(lam * np.stack(dh, axis=1), axis=1)
 
 
-def _chunked(fn, blocks, X, *args):
-    """fn(blocks, X, *args) over row chunks of X of at most _CHUNK_ELEMENTS / (m n)
-    rows, n the width of X; the array outputs are joined along the rows."""
-    rows = max(1, _CHUNK_ELEMENTS // (blocks[0].shape[0] * X.shape[1]))
-    parts = [fn(blocks, X[i : i + rows], *args) for i in range(0, X.shape[0], rows)]
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _descent_starts(blocks, X, d: int, field: Field, orthogonal: bool) -> np.ndarray:
     """The rows of X after _DESCENT_STEPS Armijo steps of Riemannian gradient descent of f.
 
@@ -760,34 +748,15 @@ def _descent_starts(blocks, X, d: int, field: Field, orthogonal: bool) -> np.nda
     return X
 
 
-def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
-    """Multi-start second-order search for the least sum_j c_j^2 over feasible pairs.
+def _newton_runs(blocks, X, d: int, field: Field, orthogonal: bool):
+    """Riemannian Newton from each row of X, which it updates in place.
 
-    Riemannian Newton (`_second_order`, `_newton_step`) runs from three
-    points per random start: the start itself; its image under
-    `_ALTERNATIONS` rounds of exact block minimization (`_best_partner`:
-    for fixed u, f is a quadratic form in v and the constraints are linear,
-    so the best v is a bottom eigenvector, and then the same for u); and the
-    start after `_DESCENT_STEPS` Armijo descent steps (`_descent_starts`).
     A step is halved until it decreases f (measured by `_decrease`), and
     each run stops when its tangent gradient norm is at most
-    _NEWTON_TOL (1 + f), or at _NEWTON_CAP steps.  Returns the least value,
-    its pair and the best run's `ConvergenceRecord`.
+    _NEWTON_TOL (1 + f), or at _NEWTON_CAP steps.  Returns per row the
+    final f, tangent gradient norm and least Hessian eigenvalue, the stop
+    (1 gradient test, 2 cap) and the number of steps.
     """
-    field, d = A.field, A.d
-    blocks = _real_blocks(A)
-    g = cfg.rng.generator()
-    U = sample_unit(field, d, g, n=cfg.starts)
-    V = sample_unit(field, d, g, n=cfg.starts)
-    U, V = _retract_pair(U, V, field, orthogonal)
-    Xu, Xv = _pack(U, field), _pack(V, field)
-    raw = np.concatenate([Xu, Xv], axis=1)
-    for _ in range(_ALTERNATIONS):
-        Xv = _chunked(_best_partner, blocks, Xu, field, orthogonal)
-        Xu = _chunked(_best_partner, blocks, Xv, field, orthogonal)
-    alternated = _retract_packed(np.concatenate([Xu, Xv], axis=1), d, field, orthogonal)
-
-    X = np.concatenate([alternated, raw, _descent_starts(blocks, raw, d, field, orthogonal)])
     runs = X.shape[0]
     f, gnorm, least = np.empty(runs), np.empty(runs), np.empty(runs)
     stop = np.zeros(runs, dtype=np.int8)  # 0 running, 1 gradient test, 2 cap
@@ -796,7 +765,7 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
         live = np.flatnonzero(stop == 0)
         if live.size == 0:
             break
-        f[live], g_t, h_t, basis, lam = _chunked(_second_order, blocks, X[live], field, orthogonal)
+        f[live], g_t, h_t, basis, lam = _second_order(blocks, X[live], field, orthogonal)
         gnorm[live] = np.linalg.norm(g_t, axis=1)
         least[live], step = _newton_step(g_t, h_t, basis)
         done = gnorm[live] <= _NEWTON_TOL * (1.0 + f[live])
@@ -816,6 +785,42 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
             if pending.size == 0:
                 break
             scale[pending] *= 0.5
+    return f, gnorm, least, stop, steps
+
+
+def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
+    """Multi-start second-order search for the least sum_j c_j^2 over feasible pairs.
+
+    Riemannian Newton (`_newton_runs`) runs from three points per random
+    start: the start itself; its image under `_ALTERNATIONS` rounds of
+    exact block minimization (`_best_partner`: for fixed u, f is a
+    quadratic form in v and the constraints are linear, so the best v is a
+    bottom eigenvector, and then the same for u); and the start after
+    `_DESCENT_STEPS` Armijo descent steps (`_descent_starts`).  The starts
+    are taken in groups of at most _GROUP_ELEMENTS / (3 m 2n).  Returns the
+    least value, its pair and the best run's `ConvergenceRecord`.
+    """
+    field, d = A.field, A.d
+    blocks = _real_blocks(A)
+    g = cfg.rng.generator()
+    U = sample_unit(field, d, g, n=cfg.starts)
+    V = sample_unit(field, d, g, n=cfg.starts)
+    U, V = _retract_pair(U, V, field, orthogonal)
+    starts = np.concatenate([_pack(U, field), _pack(V, field)], axis=1)
+    n = starts.shape[1] // 2
+    group = max(1, _GROUP_ELEMENTS // (3 * blocks[0].shape[0] * 2 * n))
+    points, results = [], []
+    for raw in (starts[i : i + group] for i in range(0, cfg.starts, group)):
+        Xu, Xv = raw[:, :n], raw[:, n:]
+        for _ in range(_ALTERNATIONS):
+            Xv = _best_partner(blocks, Xu, field, orthogonal)
+            Xu = _best_partner(blocks, Xv, field, orthogonal)
+        alternated = _retract_packed(np.concatenate([Xu, Xv], axis=1), d, field, orthogonal)
+        X = np.concatenate([alternated, raw, _descent_starts(blocks, raw, d, field, orthogonal)])
+        results.append(_newton_runs(blocks, X, d, field, orthogonal))
+        points.append(X)
+    X = np.concatenate(points)
+    f, gnorm, least, stop, steps = (np.concatenate(parts) for parts in zip(*results))
 
     i = int(np.argmin(f))
     record = ConvergenceRecord(
@@ -825,7 +830,6 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
         min_hessian_eigenvalue=float(least[i]),
         runs_at_best=int(np.sum(f - f[i] <= 1e-9 * (1.0 + f[i]))),
     )
-    n = X.shape[1] // 2
     return float(f[i]), _unpack(X[i, :n], d, field), _unpack(X[i, n:], d, field), record
 
 

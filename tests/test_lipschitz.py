@@ -259,14 +259,14 @@ def test_runs_at_best_counts_every_run_that_reaches_zero(field):
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("orthogonal", [False, True])
-def test_p2_search_in_row_chunks_gives_the_same_estimate(field, orthogonal, monkeypatch):
-    # chunks of one or two rows bound the (rows, m, n) tensors; batched
+def test_p2_search_in_groups_of_starts_gives_the_same_estimate(field, orthogonal, monkeypatch):
+    # groups of one or two starts bound the (runs, m, n) tensors; batched
     # products round alike up to the last bits, so the best value agrees to
     # rounding, though among runs that tie a different one may win
     A = sample_gaussian(field, 40, 3, RngSpec(22, int(orthogonal)))
     solve = orthogonal_lower_bound if orthogonal else lower_lipschitz
     whole = solve(A, 2, QUICK)
-    monkeypatch.setattr(lipschitz, "_CHUNK_ELEMENTS", 40 * 2 * A.d * 2)
+    monkeypatch.setattr(lipschitz, "_GROUP_ELEMENTS", 3 * 40 * 4 * A.d)
     parts = solve(A, 2, QUICK)
     assert parts.value == pytest.approx(whole.value, rel=1e-12)
     assert parts.convergence.stop == "gradient"
