@@ -13,12 +13,16 @@ planar matrices (d=2) every constant comes from the planar coordinates of
 `planar`, by small eigenvalue problems at p=2 and by enumerating the
 vertices of a piecewise-linear objective for L and M at p=1.  Everything
 else is nonconvex and runs batched multi-start searches on the constraint
-manifold: an Armijo gradient ascent for U at p=2; for L and M at p=2,
-Riemannian Newton with the exact Hessian from three points per start (the
-start, its image under alternating exact eigen-steps, and the start after
-a few Armijo descent steps), stopped on a gradient test and reported with
-a `ConvergenceRecord`; and for L and M at p=1, a subgradient descent of
-the kinked objective with a simplex polish.
+manifold: an Armijo gradient ascent for U at p=2, and two searches for L
+and M.  Both pair searches share one geometry: a pair is a row of packed
+real coordinates, the constraints besides |u| = |v| = 1 are written once
+(`_bilinear_constraints`), and one retraction, one projected gradient and
+one set of random starts serve both.  At p=2 the search is Riemannian
+Newton with the exact Hessian from three points per start (the start, its
+image under alternating exact eigen-steps, and the start after a few
+Armijo descent steps), stopped on a gradient test and reported with a
+`ConvergenceRecord`; at p=1 it is a subgradient descent of the kinked
+objective with a simplex polish.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
 through their `method` tag.  On planar matrices the grid oracle in `oracle`
@@ -298,11 +302,6 @@ def _rescaled(e: LipschitzEstimate, k: int) -> LipschitzEstimate:
 # batched Riemannian line search
 # ---------------------------------------------------------------------------
 
-def _sq_norms(blocks) -> np.ndarray:
-    """Row-wise squared norm of a tuple of blocks: per-block sums, then added."""
-    return sum(np.sum(np.abs(G) ** 2, axis=1) for G in blocks)
-
-
 # Line-search settings: the stopping test on the tangent gradient norm
 # (relative to 1 + |f|), the first trial step, the backtracking factor and the
 # Armijo sufficient-increase constant.
@@ -380,19 +379,15 @@ def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float
 
 
 # ---------------------------------------------------------------------------
-# pairs: retraction and packed real coordinates
+# pairs: packed real coordinates and the feasible set
 # ---------------------------------------------------------------------------
-
-def _retract_pair(U, V, field: Field, orthogonal: bool):
-    U = U / np.linalg.norm(U, axis=1, keepdims=True)
-    ip = np.sum(np.conj(U) * V, axis=1, keepdims=True)
-    if orthogonal:
-        V = V - ip * U
-    elif field is Field.COMPLEX:
-        V = V - 1j * ip.imag * U
-    V = V / np.linalg.norm(V, axis=1, keepdims=True)
-    return U, V
-
+#
+# Both pair searches run in packed real coordinates: a pair is one row
+# x = (x_u, x_v) (see `_pack`), and c_j = sum_B (B x_u)_j (B x_v)_j over the
+# real blocks B of `_real_blocks`.  The feasible set is |x_u| = |x_v| = 1 and
+# the bilinear constraints of `_bilinear_constraints`: Im<u, v> = 0 over the
+# complex field, and <u, v> = 0 for M.  Their gradients are orthogonal at
+# every feasible point, and their Hessians are constant.
 
 def _pack(w: np.ndarray, field: Field) -> np.ndarray:
     """Real coordinates of vectors (last axis): (Re w, Im w) over the complex field."""
@@ -401,138 +396,204 @@ def _pack(w: np.ndarray, field: Field) -> np.ndarray:
     return np.asarray(w, dtype=np.float64)
 
 
-def _unpack(z: np.ndarray, d: int, field: Field) -> np.ndarray:
+def _unpack(x: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (u, v) of one packed row x = (x_u, x_v)."""
+    n = x.shape[0] // 2
     if field is Field.COMPLEX:
-        return z[..., :d] + 1j * z[..., d : 2 * d]
-    return z[..., :d]
+        d = n // 2
+        return x[:d] + 1j * x[d:n], x[n : n + d] + 1j * x[n + d :]
+    return x[:n], x[n:]
+
+
+def _real_blocks(A: SensingMatrix) -> np.ndarray:
+    """The (k, m, n) real blocks B with c_j = sum_B (B x_u)_j (B x_v)_j.
+
+    k is 1 over the reals (B = A) and 2 over the complex field, where B x
+    is Re(A w) and Im(A w) for the vector w packed in x.
+    """
+    if A.field is Field.REAL:
+        return A.array[None]
+    re, im = A.array.real, A.array.imag
+    return np.stack([np.hstack([re, -im]), np.hstack([im, re])])
+
+
+def _times_i(X: np.ndarray) -> np.ndarray:
+    """Multiplication by i in packed complex coordinates (last axis)."""
+    d = X.shape[-1] // 2
+    return np.concatenate([-X[..., d:], X[..., :d]], axis=-1)
+
+
+def _identity(X: np.ndarray) -> np.ndarray:
+    return X
+
+
+def _bilinear_constraints(field: Field, orthogonal: bool):
+    """The constraints h = (T x_u) . x_v = 0 of a feasible pair besides |u| = |v| = 1.
+
+    Each is returned as (T, s), with T a linear map on the last axis and
+    T^T = s T: over the complex field Im<u, v> = (i u) . v, and for M also
+    Re<u, v> = u . v.  Their gradients are (s T x_v, T x_u), and their
+    Hessians are constant.
+    """
+    return ([(_times_i, -1.0)] if field is Field.COMPLEX else []) + ([(_identity, 1.0)] if orthogonal else [])
+
+
+def _constraint_normals(Xu, Xv, field: Field, orthogonal: bool) -> list[np.ndarray]:
+    """(runs, 2n) constraint gradients at rows (x_u, x_v), first those of |x_u|^2 and |x_v|^2.
+
+    At feasible pairs they are orthogonal to each other, with squared norms
+    1, 1 and then 2 for each bilinear constraint, since |T x| = |x|.
+    """
+    zero = np.zeros_like(Xu)
+    cols = [np.concatenate([Xu, zero], axis=1), np.concatenate([zero, Xv], axis=1)]
+    cols += [np.concatenate([s * T(Xv), T(Xu)], axis=1) for T, s in _bilinear_constraints(field, orthogonal)]
+    return cols
+
+
+def _row_dots(X, Y) -> np.ndarray:
+    """The (runs, 1) column of dot products of the rows of X and Y."""
+    return np.add.reduce(X * Y, 1, keepdims=True)
+
+
+# A Gram-Schmidt pass that cancels all but 1/_GS_REPEAT of x_v leaves its
+# inner products with the T x_u of up to about _GS_REPEAT * eps once x_v is
+# normalized, so past that ratio the pass is repeated (Kahan's "twice is
+# enough", in Parlett, The Symmetric Eigenvalue Problem, 1980).
+_GS_REPEAT = 1e3
+
+
+def _retract_packed(X, field: Field, orthogonal: bool) -> np.ndarray:
+    """Rows (x_u, x_v) mapped onto feasible pairs.
+
+    x_v loses its components along the T x_u of `_bilinear_constraints`,
+    which are orthogonal to each other and as long as x_u, and then both
+    halves are normalized.  The Gram-Schmidt pass is repeated on the rows
+    where it cancelled all but 1/_GS_REPEAT of x_v.
+    """
+    n = X.shape[1] // 2
+    Xu, Xv = X[:, :n], X[:, n:]
+    normals = [T(Xu) for T, _s in _bilinear_constraints(field, orthogonal)]
+    if normals:
+        square_u = _row_dots(Xu, Xu)
+
+        def sweep(Xv):
+            removed = 0.0
+            for N in normals:
+                a = _row_dots(N, Xv) / square_u
+                Xv = Xv - a * N
+                removed = removed + a * a
+            return Xv, removed * square_u
+
+        Yv, removed = sweep(Xv)
+        X = np.concatenate([Xu, Yv], axis=1)
+    Y = X.reshape(-1, 2, n)
+    square = np.add.reduce(Y * Y, 2, keepdims=True)
+    if normals:
+        again = removed > _GS_REPEAT ** 2 * square[:, 1]
+        if np.count_nonzero(again):
+            Y = np.concatenate([Xu, np.where(again, sweep(Yv)[0], Yv)], axis=1).reshape(-1, 2, n)
+            square = np.add.reduce(Y * Y, 2, keepdims=True)
+    return (Y / np.sqrt(square)).reshape(-1, 2 * n)
+
+
+def _images(blocks, X) -> np.ndarray:
+    """The (runs, 2, k, m) images B x_u and B x_v of the packed rows of X, from one product."""
+    k, m, n = blocks.shape
+    return (X.reshape(-1, n) @ blocks.reshape(k * m, n).T).reshape(-1, 2, k, m)
+
+
+def _pair_terms(blocks, X) -> np.ndarray:
+    """The (runs, m) terms c_j at each packed row of X."""
+    Y = _images(blocks, X)
+    return np.add.reduce(Y[:, 0] * Y[:, 1], 1)
+
+
+def _pair_gradient(blocks, X, weight, field: Field, orthogonal: bool):
+    """Terms c_j and the tangent part of sum_j w_j grad c_j at each row of X.
+
+    The weights are w = weight(c): sign(c) gives a subgradient of
+    sum_j |c_j|, and 2 c the gradient of sum_j c_j^2.  The gradient is
+    projected off the `_constraint_normals` with their squared norms at
+    feasible pairs.  Returns the (runs, m) terms and the (runs, 2n) gradients.
+    """
+    k, m, n = blocks.shape
+    Y = _images(blocks, X)
+    c = np.add.reduce(Y[:, 0] * Y[:, 1], 1)
+    # row (x_u, x_v) of the gradient is (sum_B B^T (w B x_v), sum_B B^T (w B x_u))
+    W = weight(c)[:, None, None, :] * Y[:, ::-1]
+    G = (W.reshape(-1, k * m) @ blocks.reshape(k * m, n)).reshape(-1, 2 * n)
+    for N, size in zip(_constraint_normals(X[:, :n], X[:, n:], field, orthogonal), (1.0, 1.0, 2.0, 2.0)):
+        G -= (_row_dots(N, G) / size) * N
+    return c, G
+
+
+def _pair_starts(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig) -> np.ndarray:
+    """The `cfg.starts` random feasible pairs that start a pair search, as packed rows."""
+    g = cfg.rng.generator()
+    U = sample_unit(A.field, A.d, g, n=cfg.starts)
+    V = sample_unit(A.field, A.d, g, n=cfg.starts)
+    return _retract_packed(np.concatenate([_pack(U, A.field), _pack(V, A.field)], axis=1), A.field, orthogonal)
 
 
 # ---------------------------------------------------------------------------
 # p=1 pair descent for L and M
 # ---------------------------------------------------------------------------
 
-def _project_pair_tangent(U, V, Gu, Gv, field: Field, orthogonal: bool):
-    """Remove the components of (Gu, Gv) normal to the constraint manifold."""
-    def rip(a, b):
-        return np.sum(np.conj(a) * b, axis=1, keepdims=True).real
-
-    Gu = Gu - rip(U, Gu) * U
-    Gv = Gv - rip(V, Gv) * V
-    if field is Field.COMPLEX:
-        # normal direction of Im<u, v> = 0 is (-i v, i u) / sqrt(2)
-        c = (rip(-1j * V, Gu) + rip(1j * U, Gv)) / 2.0
-        Gu = Gu - c * (-1j * V)
-        Gv = Gv - c * (1j * U)
-    if orthogonal:
-        c = (rip(V, Gu) + rip(U, Gv)) / 2.0
-        Gu = Gu - c * V
-        Gv = Gv - c * U
-    return Gu, Gv
-
-
 def _descend_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
-    """Multi-start subgradient descent of sum_j |c_j| over feasible pairs."""
-    arr = A.array
-    g = cfg.rng.generator()
-    U = sample_unit(A.field, A.d, g, n=cfg.starts)
-    V = sample_unit(A.field, A.d, g, n=cfg.starts)
-    U, V = _retract_pair(U, V, A.field, orthogonal)
+    """Multi-start subgradient descent of sum_j |c_j| over feasible pairs.
 
-    def tangent(Umat, Vmat):
-        """Objective values and the projected subgradient blocks."""
-        Yu = Umat @ arr.T
-        Yv = Vmat @ arr.T
-        C = (np.conj(Yu) * Yv).real
-        W = np.sign(C)
-        G = _project_pair_tangent(
-            Umat, Vmat, (W * Yv) @ arr.conj(), (W * Yu) @ arr.conj(), A.field, orthogonal
-        )
-        return np.abs(C).sum(axis=1), G
+    Returns the least value and its packed pair.
+    """
+    field = A.field
+    blocks = _real_blocks(A)
+    X = _pair_starts(A, orthogonal, cfg)
 
-    # diminishing steps t_k = scale / (|g_k| sqrt(k)), one tangent call per step
-    fv, (Gu, Gv) = tangent(U, V)
-    gn = np.maximum(np.sqrt(_sq_norms((Gu, Gv))), 1e-30)
-    best_f, best_U, best_V = fv, U.copy(), V.copy()
+    # diminishing steps t_k = scale / (|g_k| sqrt(k)), one gradient per step
+    c, G = _pair_gradient(blocks, X, np.sign, field, orthogonal)
+    fv = np.abs(c).sum(axis=1)
+    gn = np.maximum(np.linalg.norm(G, axis=1), 1e-30)
+    best_f, best_X = fv, X.copy()
     scale = 0.1 * fv / gn
     for k in range(1, cfg.subgradient_iters + 1):
         t = scale / (gn * math.sqrt(k))
-        U, V = _retract_pair(U - t[:, None] * Gu, V - t[:, None] * Gv, A.field, orthogonal)
-        fv, (Gu, Gv) = tangent(U, V)
-        gn = np.maximum(np.sqrt(_sq_norms((Gu, Gv))), 1e-30)
+        X = _retract_packed(X - t[:, None] * G, field, orthogonal)
+        c, G = _pair_gradient(blocks, X, np.sign, field, orthogonal)
+        fv = np.abs(c).sum(axis=1)
+        gn = np.maximum(np.linalg.norm(G, axis=1), 1e-30)
         better = fv < best_f
         best_f[better] = fv[better]
-        best_U[better] = U[better]
-        best_V[better] = V[better]
+        best_X[better] = X[better]
     i = int(np.argmin(best_f))
-    return float(best_f[i]), best_U[i].copy(), best_V[i].copy()
+    return float(best_f[i]), best_X[i].copy()
 
 
-# A Gram-Schmidt pass that cancels all but 1/_GS_REPEAT of v leaves |<u, v>|
-# of up to about _GS_REPEAT * eps once v is normalized, so past that ratio
-# the pass is repeated (Kahan's "twice is enough", in Parlett, The Symmetric
-# Eigenvalue Problem, 1980).
-_GS_REPEAT = 1e3
+def _polish_pair_ambient(A: SensingMatrix, x0: np.ndarray, orthogonal: bool):
+    """Nelder-Mead polish of the p=1 objective from the packed pair x0.
 
-
-def _feasible_pair(zu, zv, d, field, orthogonal):
-    u = _unpack(zu, d, field)
-    nu = np.linalg.norm(u)
-    if nu == 0:
-        return None
-    u = u / nu
-    v = _unpack(zv, d, field)
-    for _ in range(2):
-        ip = np.vdot(u, v)
-        if orthogonal:
-            v = v - ip * u
-            removed = abs(ip)
-        elif field is Field.COMPLEX:
-            v = v - 1j * ip.imag * u
-            removed = abs(ip.imag)
-        else:
-            removed = 0.0
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return None
-        if removed <= _GS_REPEAT * nv:
-            break
-    return u, v / nv
-
-
-def _polish_pair_ambient(A, u0, v0, orthogonal):
-    """Nelder-Mead polish of the p=1 objective in ambient coordinates."""
+    Each simplex point is mapped onto the feasible pairs by
+    `_retract_packed`.  Returns the objective at the best point and the
+    feasible packed pair it is the value of.
+    """
     from scipy import optimize  # half a second to import; only the polish needs it
 
-    d, field = A.d, A.field
-    w = d if field is Field.REAL else 2 * d
+    blocks = _real_blocks(A)
 
     def fobj(z):
-        pair = _feasible_pair(z[:w], z[w:], d, field, orthogonal)
-        if pair is None:
-            return 1e300
-        return pair_objective(A, pair[0], pair[1], 1)
+        return float(np.abs(_pair_terms(blocks, _retract_packed(z[None], A.field, orthogonal))).sum())
 
-    z0 = np.concatenate([_pack(u0, field), _pack(v0, field)])
     res = optimize.minimize(
-        fobj, z0, method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 400 * (2 * w), "maxfev": 400 * (2 * w)},
+        fobj, x0, method="Nelder-Mead",
+        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 400 * x0.size, "maxfev": 400 * x0.size},
     )
-    pair = _feasible_pair(res.x[:w], res.x[w:], d, field, orthogonal)
-    if pair is None:
-        return None
-    return float(res.fun), pair[0], pair[1]
+    return float(res.fun), _retract_packed(res.x[None], A.field, orthogonal)[0]
 
 
 # ---------------------------------------------------------------------------
 # p=2 pair search: alternating eigen-steps, then Riemannian Newton
 # ---------------------------------------------------------------------------
 #
-# In packed real coordinates x (see `_pack`), c_j = x_u^T Q_j x_v with
-# Q_j = sum_B B_j^T B_j over the real blocks B of `_real_blocks`, and the
-# objective is f = sum_j c_j^2, a quartic.  The constraints h = 0 are
-# |x_u|^2 = |x_v|^2 = 1, Im<u, v> = (i u) . v = 0 over the complex field,
-# and <u, v> = 0 for M.  Their gradients are orthogonal at every feasible
-# point, and their Hessians are constant.
+# In packed coordinates the p=2 objective is f = sum_j c_j^2, a quartic with
+# c_j = x_u^T Q_j x_v and Q_j = sum_B B_j^T B_j.
 
 # Newton settings: the stopping test on the tangent gradient norm (relative
 # to 1 + f), the safety cap on Newton iterations per run, the longest step,
@@ -554,43 +615,9 @@ _HALVINGS = 40
 _GROUP_ELEMENTS = 1 << 21
 
 
-def _real_blocks(A: SensingMatrix) -> tuple[np.ndarray, ...]:
-    """Real m x n matrices B with c_j = sum_B (B x_u)_j (B x_v)_j."""
-    if A.field is Field.REAL:
-        return (A.array,)
-    re, im = A.array.real, A.array.imag
-    return (np.hstack([re, -im]), np.hstack([im, re]))
-
-
-def _times_i(X: np.ndarray) -> np.ndarray:
-    """Multiplication by i in packed complex coordinates (last axis)."""
-    d = X.shape[-1] // 2
-    return np.concatenate([-X[..., d:], X[..., :d]], axis=-1)
-
-
-def _pair_terms(blocks, Xu, Xv) -> np.ndarray:
-    """The (runs, m) terms c_j at each row of Xu and Xv."""
-    return sum((Xu @ B.T) * (Xv @ B.T) for B in blocks)
-
-
 def _q_rows(blocks, X) -> np.ndarray:
     """The (runs, m, n) rows Q_j x at each row of X: the gradient of c_j in the other vector."""
     return sum((X @ B.T)[..., None] * B for B in blocks)
-
-
-def _identity(X: np.ndarray) -> np.ndarray:
-    return X
-
-
-def _bilinear_constraints(field: Field, orthogonal: bool):
-    """The constraints h = (T x_u) . x_v = 0 of a feasible pair besides |u| = |v| = 1.
-
-    Each is returned as (T, s), with T a linear map on the last axis and
-    T^T = s T: over the complex field Im<u, v> = (i u) . v, and for M also
-    Re<u, v> = u . v.  Their gradients are (s T x_v, T x_u), and their
-    Hessians are constant.
-    """
-    return ([(_times_i, -1.0)] if field is Field.COMPLEX else []) + ([(_identity, 1.0)] if orthogonal else [])
 
 
 def _best_partner(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
@@ -614,14 +641,6 @@ def _bottom_vectors(K, excluded) -> np.ndarray:
         lift = np.trace(G, axis1=1, axis2=2) + 1.0
         G = np.matmul(np.matmul(P, G), P) + lift[:, None, None] * R
     return np.linalg.eigh(G)[1][..., 0]
-
-
-def _constraint_normals(Xu, Xv, field: Field, orthogonal: bool) -> list[np.ndarray]:
-    """(runs, 2n) constraint gradients at feasible pairs, orthogonal to each other."""
-    zero = np.zeros_like(Xu)
-    cols = [np.concatenate([Xu, zero], axis=1), np.concatenate([zero, Xv], axis=1)]
-    cols += [np.concatenate([s * T(Xv), T(Xu)], axis=1) for T, s in _bilinear_constraints(field, orthogonal)]
-    return cols
 
 
 def _normal_frame(Xu, Xv, field: Field, orthogonal: bool) -> np.ndarray:
@@ -694,13 +713,6 @@ def _newton_step(g_t, h_t, basis):
     return w[:, 0], step
 
 
-def _retract_packed(X, d: int, field: Field, orthogonal: bool) -> np.ndarray:
-    """`_retract_pair` on rows (x_u, x_v) of packed coordinates."""
-    n = X.shape[1] // 2
-    U, V = _retract_pair(_unpack(X[:, :n], d, field), _unpack(X[:, n:], d, field), field, orthogonal)
-    return np.concatenate([_pack(U, field), _pack(V, field)], axis=1)
-
-
 def _decrease(blocks, X, Xn, lam, field: Field, orthogonal: bool) -> np.ndarray:
     """Change of the Lagrangian f - sum_i lam_i h_i from X to Xn, per row.
 
@@ -710,45 +722,39 @@ def _decrease(blocks, X, Xn, lam, field: Field, orthogonal: bool) -> np.ndarray:
     where the two values of f agree to more digits than they carry.
     """
     n = X.shape[1] // 2
-    Xu, Xv, Xvn = X[:, :n], X[:, n:], Xn[:, n:]
-    Du, Dv = Xn[:, :n] - Xu, Xvn - Xv
-    c = _pair_terms(blocks, Xu, Xv)
-    dc = _pair_terms(blocks, Du, Xvn) + _pair_terms(blocks, Xu, Dv)
+    D = Xn - X
+    Xu, Xv, Xvn, Du, Dv = X[:, :n], X[:, n:], Xn[:, n:], D[:, :n], D[:, n:]
+    # the images B x_u and B x_v of X, Xn and D
+    (Yu, Yv), (_Yun, Yvn), (Zu, Zv) = (_images(blocks, Z).transpose(1, 0, 2, 3) for Z in (X, Xn, D))
+    c = np.add.reduce(Yu * Yv, 1)
+    dc = np.add.reduce(Zu * Yvn, 1) + np.add.reduce(Yu * Zv, 1)
     dh = [np.sum(Du * (Xu + Du / 2.0), axis=1), np.sum(Dv * (Xv + Dv / 2.0), axis=1)]
     for T, _s in _bilinear_constraints(field, orthogonal):
         dh.append(np.sum(T(Du) * Xvn, axis=1) + np.sum(T(Xu) * Dv, axis=1))
     return np.sum(dc * (2.0 * c + dc), axis=1) - np.sum(lam * np.stack(dh, axis=1), axis=1)
 
 
-def _descent_starts(blocks, X, d: int, field: Field, orthogonal: bool) -> np.ndarray:
+def _descent_starts(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
     """The rows of X after _DESCENT_STEPS Armijo steps of Riemannian gradient descent of f.
 
     The first steps of gradient descent decide the basin it ends in; Newton
     from a random start can jump to another basin, so these points start
     Newton runs of their own.
     """
-    n = X.shape[1] // 2
 
     def value(Y):
-        return -np.sum(_pair_terms(blocks, Y[:, :n], Y[:, n:]) ** 2, axis=1)
+        return -np.sum(_pair_terms(blocks, Y) ** 2, axis=1)
 
     def tangent(Y):
-        Yu, Yv = Y[:, :n], Y[:, n:]
-        c = _pair_terms(blocks, Yu, Yv)
-        G = -2.0 * np.concatenate(
-            [sum((c * (Yv @ B.T)) @ B for B in blocks), sum((c * (Yu @ B.T)) @ B for B in blocks)], axis=1
-        )
-        for N in _constraint_normals(Yu, Yv, field, orthogonal):
-            N = N / np.linalg.norm(N, axis=1, keepdims=True)
-            G -= np.sum(N * G, axis=1, keepdims=True) * N
-        return -np.sum(c * c, axis=1), G
+        c, G = _pair_gradient(blocks, Y, lambda c: 2.0 * c, field, orthogonal)
+        return -np.sum(c * c, axis=1), -G
 
     X = X.copy()
-    _armijo(X, value, tangent, lambda Y: _retract_packed(Y, d, field, orthogonal), _DESCENT_STEPS)
+    _armijo(X, value, tangent, lambda Y: _retract_packed(Y, field, orthogonal), _DESCENT_STEPS)
     return X
 
 
-def _newton_runs(blocks, X, d: int, field: Field, orthogonal: bool):
+def _newton_runs(blocks, X, field: Field, orthogonal: bool):
     """Riemannian Newton from each row of X, which it updates in place.
 
     A step is halved until it decreases f (measured by `_decrease`), and
@@ -778,7 +784,7 @@ def _newton_runs(blocks, X, d: int, field: Field, orthogonal: bool):
         scale = np.ones(move.size)
         pending = np.arange(move.size)
         for _ in range(_HALVINGS):
-            cand = _retract_packed(X[move[pending]] + scale[pending, None] * step[pending], d, field, orthogonal)
+            cand = _retract_packed(X[move[pending]] + scale[pending, None] * step[pending], field, orthogonal)
             ok = _decrease(blocks, X[move[pending]], cand, lam[pending], field, orthogonal) < 0.0
             X[move[pending[ok]]] = cand[ok]
             pending = pending[~ok]
@@ -798,26 +804,22 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
     bottom eigenvector, and then the same for u); and the start after
     `_DESCENT_STEPS` Armijo descent steps (`_descent_starts`).  The starts
     are taken in groups of at most _GROUP_ELEMENTS / (3 m 2n).  Returns the
-    least value, its pair and the best run's `ConvergenceRecord`.
+    least value, its packed pair and the best run's `ConvergenceRecord`.
     """
-    field, d = A.field, A.d
+    field = A.field
     blocks = _real_blocks(A)
-    g = cfg.rng.generator()
-    U = sample_unit(field, d, g, n=cfg.starts)
-    V = sample_unit(field, d, g, n=cfg.starts)
-    U, V = _retract_pair(U, V, field, orthogonal)
-    starts = np.concatenate([_pack(U, field), _pack(V, field)], axis=1)
+    starts = _pair_starts(A, orthogonal, cfg)
     n = starts.shape[1] // 2
-    group = max(1, _GROUP_ELEMENTS // (3 * blocks[0].shape[0] * 2 * n))
+    group = max(1, _GROUP_ELEMENTS // (3 * A.m * 2 * n))
     points, results = [], []
     for raw in (starts[i : i + group] for i in range(0, cfg.starts, group)):
         Xu, Xv = raw[:, :n], raw[:, n:]
         for _ in range(_ALTERNATIONS):
             Xv = _best_partner(blocks, Xu, field, orthogonal)
             Xu = _best_partner(blocks, Xv, field, orthogonal)
-        alternated = _retract_packed(np.concatenate([Xu, Xv], axis=1), d, field, orthogonal)
-        X = np.concatenate([alternated, raw, _descent_starts(blocks, raw, d, field, orthogonal)])
-        results.append(_newton_runs(blocks, X, d, field, orthogonal))
+        alternated = _retract_packed(np.concatenate([Xu, Xv], axis=1), field, orthogonal)
+        X = np.concatenate([alternated, raw, _descent_starts(blocks, raw, field, orthogonal)])
+        results.append(_newton_runs(blocks, X, field, orthogonal))
         points.append(X)
     X = np.concatenate(points)
     f, gnorm, least, stop, steps = (np.concatenate(parts) for parts in zip(*results))
@@ -830,7 +832,7 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig):
         min_hessian_eigenvalue=float(least[i]),
         runs_at_best=int(np.sum(f - f[i] <= 1e-9 * (1.0 + f[i]))),
     )
-    return float(f[i]), _unpack(X[i, :n], d, field), _unpack(X[i, n:], d, field), record
+    return float(f[i]), X[i], record
 
 
 # ---------------------------------------------------------------------------
@@ -884,13 +886,14 @@ def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: 
         method = Method.CLOSED_FORM
     else:
         if p == 2:
-            fbest, u, v, record = _search_pairs(A, orthogonal, cfg)
+            fbest, x, record = _search_pairs(A, orthogonal, cfg)
         else:
-            fbest, u, v = _descend_pairs(A, orthogonal, cfg)
+            fbest, x = _descend_pairs(A, orthogonal, cfg)
             if cfg.polish:
-                cand = _polish_pair_ambient(A, u, v, orthogonal)
-                if cand is not None and cand[0] < fbest:
-                    fbest, u, v = cand
+                polished = _polish_pair_ambient(A, x, orthogonal)
+                if polished[0] < fbest:
+                    fbest, x = polished
+        u, v = _unpack(x, A.field)
         value = fbest ** (1.0 / p)
         method = Method.MULTI_START_LOCAL
 
@@ -920,8 +923,10 @@ def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
     its tangent gradient norm is at most 1e-11 (1 + L^2), under a fixed
     safety cap; `max_iters` and `polish` do not apply, and the estimate
     carries a `ConvergenceRecord`.  At p=1 it runs diminishing-step
-    projected subgradient descent and, with `cfg.polish`, a Nelder-Mead
-    polish.
+    projected subgradient descent from the same kind of starts and, with
+    `cfg.polish`, a Nelder-Mead polish.  Both searches work on pairs in
+    packed real coordinates, with one retraction onto the feasible pairs
+    and one projected gradient.
     """
     return _lower_estimate(A, p, cfg or OptimizerConfig(), orthogonal=False)
 

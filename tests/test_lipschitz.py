@@ -108,17 +108,21 @@ def test_lower_matches_harmonic_constants(p):
 
 
 def test_lower_witnesses_are_feasible_and_attaining():
-    A = sample_gaussian(Field.COMPLEX, 7, 3, RngSpec(41, 0))
-    est = lower_lipschitz(A, 2, QUICK)
-    assert isinstance(est.witness, UnitPair)
-    est.witness.validate()
-    assert est.witness.constraint is Constraint.REAL_INNER
-    assert pair_objective(A, est.witness.u, est.witness.v, 2) == pytest.approx(est.value, rel=1e-9)
+    # the p=2 Newton search and the p=1 descent with its polish, at d=3
+    for field, p in ((Field.COMPLEX, 2), (Field.REAL, 1), (Field.COMPLEX, 1)):
+        A = sample_gaussian(field, 7, 3, RngSpec(41, 0))
+        est = lower_lipschitz(A, p, QUICK)
+        assert isinstance(est.witness, UnitPair)
+        est.witness.validate()
+        assert est.witness.constraint is Constraint.REAL_INNER
+        assert pair_objective(A, est.witness.u, est.witness.v, p) == pytest.approx(est.value, rel=1e-9)
 
-    orth = orthogonal_lower_bound(A, 2, QUICK)
-    assert orth.witness.constraint is Constraint.ORTHOGONAL
-    assert abs(orth.witness.inner()) < 1e-10
-    assert orth.kind is EstimateKind.ORTHOGONAL_M
+        orth = orthogonal_lower_bound(A, p, QUICK)
+        orth.witness.validate()
+        assert orth.witness.constraint is Constraint.ORTHOGONAL
+        assert abs(orth.witness.inner()) < 1e-10
+        assert orth.kind is EstimateKind.ORTHOGONAL_M
+        assert pair_objective(A, orth.witness.u, orth.witness.v, p) == pytest.approx(orth.value, rel=1e-9)
 
 
 def test_polished_orthogonal_witness_stays_orthogonal():
@@ -240,10 +244,11 @@ def test_p2_witness_is_a_second_order_minimum(field, orthogonal):
     du, dv = rng.standard_normal(shape), rng.standard_normal(shape)
     if field is Field.COMPLEX:
         du, dv = du + 1j * rng.standard_normal(shape), dv + 1j * rng.standard_normal(shape)
-    U, V = lipschitz._retract_pair(
-        est.witness.u + radius * du, est.witness.v + radius * dv, field, orthogonal
+    X = np.concatenate(
+        [lipschitz._pack(est.witness.u + radius * du, field), lipschitz._pack(est.witness.v + radius * dv, field)],
+        axis=1,
     )
-    near = [pair_objective(A, u, v, 2) for u, v in zip(U, V)]
+    near = [pair_objective(A, *lipschitz._unpack(x, field), 2) for x in lipschitz._retract_packed(X, field, orthogonal)]
     assert min(near) >= est.value - 1e-12
 
 
@@ -297,9 +302,7 @@ def test_riemannian_hessian_matches_second_differences(field, orthogonal):
     X = np.concatenate([lipschitz._pack(est.witness.u, field), lipschitz._pack(est.witness.v, field)])[None]
 
     def f(Y):
-        Y = lipschitz._retract_packed(Y, A.d, field, orthogonal)
-        n = Y.shape[1] // 2
-        return float(np.sum(lipschitz._pair_terms(blocks, Y[:, :n], Y[:, n:]) ** 2))
+        return float(np.sum(lipschitz._pair_terms(blocks, lipschitz._retract_packed(Y, field, orthogonal)) ** 2))
 
     _f, g_t, h_t, basis, _lam = lipschitz._second_order(blocks, X, field, orthogonal)
     assert basis.shape[2] == {Field.REAL: 2 * A.d - 2, Field.COMPLEX: 4 * A.d - 5}[field] - orthogonal
@@ -313,18 +316,20 @@ def test_riemannian_hessian_matches_second_differences(field, orthogonal):
 
 
 @pytest.mark.parametrize("orthogonal", [True, False])
-def test_feasible_pair_reorthogonalizes_nearly_parallel_vectors(orthogonal):
-    # one pass leaves |<u, v>| and |Im<u, v>| near 5e-8 on this input
+def test_retract_packed_reorthogonalizes_nearly_parallel_vectors(orthogonal):
+    # one pass leaves |<u, v>| and |Im<u, v>| near 5e-8 on the first row; the
+    # second row is an ordinary pair in the same batch
     rng = RngSpec(3, 0).generator()
     u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = 0.7j * u + 1e-9 * w
-    pair = lipschitz._feasible_pair(
-        lipschitz._pack(u, Field.COMPLEX), lipschitz._pack(v, Field.COMPLEX), 4, Field.COMPLEX, orthogonal
-    )
-    ip = np.vdot(*pair)
-    assert abs(ip if orthogonal else ip.imag) < 1e-13
-    UnitPair(Field.COMPLEX, *pair, Constraint.ORTHOGONAL if orthogonal else Constraint.REAL_INNER).validate()
+    rows = [(u, v), (u, w)]
+    X = np.stack([np.concatenate([lipschitz._pack(a, Field.COMPLEX), lipschitz._pack(b, Field.COMPLEX)]) for a, b in rows])
+    for x in lipschitz._retract_packed(X, Field.COMPLEX, orthogonal):
+        pair = lipschitz._unpack(x, Field.COMPLEX)
+        ip = np.vdot(*pair)
+        assert abs(ip if orthogonal else ip.imag) < 1e-13
+        UnitPair(Field.COMPLEX, *pair, Constraint.ORTHOGONAL if orthogonal else Constraint.REAL_INNER).validate()
 
 
 def test_orthogonal_restriction_never_helps():
