@@ -237,11 +237,6 @@ def exact_lower_p1(A: SensingMatrix, orthogonal: bool) -> tuple[float, np.ndarra
     a kink point with r < 0 folds to (-r, -y).
 
     The work is O(m^3) flops for real matrices and O(m^4) for complex ones.
-    Against the default multi-start search (OptimizerConfig()) on a 2-CPU
-    VM with one BLAS thread, it was faster at every size tried up to m = 1500 real
-    (15 s against 21 s) and m = 160 complex (3.3 s against 4.2 s), and
-    slower from m = 2000 real (40 s against 34 s) and m = 200 complex
-    (5.6 s against 5.4 s).
     """
     kap, M = _bloch_rows(A)
     m = M.shape[0]

@@ -234,8 +234,8 @@ def test_criterion_6_expectation_curves():
 def test_criterion_7_certified_band_containment():
     t0 = time.perf_counter()
     cfg = OptimizerConfig(starts=16, max_iters=300, subgradient_iters=2000)
-    # near-degenerate maximizers make the ascent crawl on rare draws, so the
-    # upper estimates get a deep iteration budget instead of extra starts
+    # U at d=2 is exact at both p (closed form), so no ascent runs and these
+    # settings do not change the upper estimates
     cfg_up = OptimizerConfig(starts=8, max_iters=5000)
     failures = []
     for field, base in ((Field.REAL, 700), (Field.COMPLEX, 720)):

@@ -1,6 +1,7 @@
 """Multi-start estimation of the optimal Lipschitz constants and reports."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -108,7 +109,8 @@ def test_lower_matches_harmonic_constants(p):
 
 
 def test_lower_witnesses_are_feasible_and_attaining():
-    # the p=2 Newton search and the p=1 descent with its polish, at d=3
+    # the Newton pair search at both p, at d=3; each estimate says how its
+    # search ended, outside the JSON payload
     for field, p in ((Field.COMPLEX, 2), (Field.REAL, 1), (Field.COMPLEX, 1)):
         A = sample_gaussian(field, 7, 3, RngSpec(41, 0))
         est = lower_lipschitz(A, p, QUICK)
@@ -123,6 +125,10 @@ def test_lower_witnesses_are_feasible_and_attaining():
         assert abs(orth.witness.inner()) < 1e-10
         assert orth.kind is EstimateKind.ORTHOGONAL_M
         assert pair_objective(A, orth.witness.u, orth.witness.v, p) == pytest.approx(orth.value, rel=1e-9)
+        for e in (est, orth):
+            assert e.convergence.stop in ("gradient", "cap")
+            assert 1 <= e.convergence.runs_at_best <= 3 * QUICK.starts
+            assert "convergence" not in estimate_to_json_dict(e, field)
 
 
 def test_polished_orthogonal_witness_stays_orthogonal():
@@ -216,13 +222,16 @@ def test_p2_search_leaves_the_high_basin_just_above_the_threshold():
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_p2_search_does_not_depend_on_the_iteration_budget(field):
+    # at both p the pair search stops on its own tests: neither the ascent's
+    # budget nor the inert p=1 fields change an estimate
     A = sample_gaussian(field, 12, 3, RngSpec(11, 0))
     results = set()
-    for budget in (300, 3000, 30000):
-        cfg = OptimizerConfig(starts=8, max_iters=budget)
-        for est in (lower_lipschitz(A, 2, cfg), orthogonal_lower_bound(A, 2, cfg)):
-            results.add((est.kind, est.value, est.witness.u.tobytes(), est.witness.v.tobytes()))
-    assert len(results) == 2
+    for budget, sub, polish in itertools.product((300, 3000, 30000), (250, 5000), (True, False)):
+        cfg = OptimizerConfig(starts=8, max_iters=budget, subgradient_iters=sub, polish=polish)
+        for p in (1, 2):
+            for est in (lower_lipschitz(A, p, cfg), orthogonal_lower_bound(A, p, cfg)):
+                results.add((p, est.kind, est.value, est.witness.u.tobytes(), est.witness.v.tobytes()))
+    assert len(results) == 4
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -255,11 +264,13 @@ def test_p2_witness_is_a_second_order_minimum(field, orthogonal):
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_runs_at_best_counts_every_run_that_reaches_zero(field):
     # m = 4 is below the injectivity threshold at d = 3 in both fields, so L = 0,
-    # and every run ends at f of order 1e-30 or below
+    # and every run ends at f of order 1e-30 or below at p=2 and of order
+    # 1e-16 or below at p=1
     A = sample_gaussian(field, 4, 3, RngSpec(21, 0))
-    est = lower_lipschitz(A, 2, OptimizerConfig(starts=8))
-    assert est.value == 0.0
-    assert est.convergence.runs_at_best == 3 * 8
+    for p in (1, 2):
+        est = lower_lipschitz(A, p, OptimizerConfig(starts=8))
+        assert est.value == 0.0
+        assert est.convergence.runs_at_best == 3 * 8
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -276,6 +287,42 @@ def test_p2_search_in_groups_of_starts_gives_the_same_estimate(field, orthogonal
     assert parts.value == pytest.approx(whole.value, rel=1e-12)
     assert parts.convergence.stop == "gradient"
     assert parts.convergence.runs_at_best == whole.convergence.runs_at_best
+
+
+# ---------------------------------------------------------------------------
+# p=1 pair search at d >= 3
+# ---------------------------------------------------------------------------
+
+# (field, d, m, rng, L) at p=1 from the search the smoothed Newton search
+# replaced (1500 subgradient steps and a Nelder-Mead polish) at SWEEP, on
+# sample_gaussian(field, m, d, rng): that search stopped 4 to 210 times
+# above the pairs the Newton search finds
+SUBGRADIENT_P1 = [
+    (Field.COMPLEX, 5, 16, RngSpec(1, 15016), 0.20989),
+    (Field.REAL, 5, 9, RngSpec(1, 5009), 0.038610),
+    (Field.COMPLEX, 4, 12, RngSpec(1, 14012), 0.17678),
+    (Field.REAL, 4, 8, RngSpec(1, 4008), 0.018650),
+]
+
+
+@pytest.mark.parametrize("field, d, m, rng, L_old", SUBGRADIENT_P1)
+def test_p1_search_is_far_below_the_subgradient_search(field, d, m, rng, L_old):
+    A = sample_gaussian(field, m, d, rng)
+    est = lower_lipschitz(A, 1, SWEEP)
+    assert est.value <= 0.5 * L_old
+    est.witness.validate()
+    assert pair_objective(A, est.witness.u, est.witness.v, 1) == pytest.approx(est.value, rel=1e-9)
+
+
+def test_p1_search_starts_where_most_terms_vanish():
+    # every row is e_1, so an alternated start has c_j = 0 for all j and its
+    # median |c_j|, the first smoothing width, is 0: without a floor on the
+    # width the Hessian is NaN and the eigen-solve raises
+    A = SensingMatrix(Field.REAL, [[1.0, 0.0, 0.0]] * 5)
+    for solve in (lower_lipschitz, orthogonal_lower_bound):
+        est = solve(A, 1, OptimizerConfig(starts=4))
+        assert est.value == 0.0
+        assert math.isfinite(est.convergence.gradient_norm)
 
 
 def test_complex_pair_objective_ignores_the_phases_of_u_plus_v_and_u_minus_v():
