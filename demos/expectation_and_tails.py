@@ -49,7 +49,7 @@ def main() -> None:
     chk = tail_check_two_to_four(
         m, d, t, args.trials,
         rng=RngSpec(20240817, 900),
-        optimizer=OptimizerConfig(starts=6, max_iters=150),
+        optimizer=OptimizerConfig(starts=6),
     )
     print(f"2-to-4 norm tail at m={m}, d={d}, t={t}: threshold "
           f"{chk.threshold:.4f}")

@@ -39,7 +39,7 @@ def main() -> None:
         d=args.d,
         trials=args.trials,
         rng=RngSpec(args.seed, 0),
-        optimizer=OptimizerConfig(starts=10, max_iters=250, subgradient_iters=1000),
+        optimizer=OptimizerConfig(starts=10),
     )
     result = run_gaussian_sweep(cfg)
 

@@ -260,14 +260,15 @@ def tail_check_two_to_four(
     """Exceedance rate of the 2-to-4 operator norm over its Gaussian tail.
 
     For each draw the norm sup_{|u|=1} (sum_j |<a_j,u>|^4)^(1/4) is computed
-    by the quartic ascent, and the fraction of draws above
+    by the power iteration of `upper_lipschitz` at p=2, from 16 starts unless
+    `optimizer` says otherwise, and the fraction of draws above
     `two_to_four_norm_bound(m, d, t)` = (3m)^(1/4) + sqrt(d) + t, which
     rejects t < 0, is compared to the tail ceiling 2 exp(-t^2/2).  The
     reported stderr is the binomial error of that ceiling at this trial
     count.
     """
     rng = rng or RngSpec(20240817, 0)
-    optimizer = optimizer or OptimizerConfig(starts=16, max_iters=200)
+    optimizer = optimizer or OptimizerConfig(starts=16)
     threshold = two_to_four_norm_bound(m, d, t)
     hits = 0
     for trial in range(int(trials)):

@@ -12,9 +12,10 @@ and the condition number beta = U / L.  Two cases are solved exactly
 planar matrices (d=2) every constant comes from the planar coordinates of
 `planar`, by small eigenvalue problems at p=2 and by enumerating the
 vertices of a piecewise-linear objective for L and M at p=1.  Everything
-else is nonconvex and runs batched multi-start searches on the constraint
-manifold: an Armijo gradient ascent for U at p=2, and one pair search for L
-and M at both p.  A pair is a row of packed real coordinates, the
+else is nonconvex and runs batched multi-start searches: the power
+iteration of the fourth moment for U at p=2, and one pair search on the
+constraint manifold for L and M at both p.  Neither depends on an
+iteration budget.  A pair is a row of packed real coordinates, the
 constraints besides |u| = |v| = 1 are written once
 (`_bilinear_constraints`), and one retraction and one set of random starts
 serve both p.  The search is Riemannian Newton with the exact Hessian from
@@ -142,19 +143,19 @@ class LipschitzEstimate:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the multi-start searches: five fields, two of them inert.
+    """Settings of the multi-start searches: five fields, three of them inert.
 
-    `starts` is the number of random starts, `max_iters` the iteration
-    budget of the Armijo ascent for U at p=2, and `rng` pins the starts.
-    The pair search for L and M uses only `starts` and `rng`: its few
-    Armijo descent steps are a fixed number, and it stops on gradient
-    tests, under fixed safety caps.  `subgradient_iters` and `polish` have
-    no effect: the p=1 subgradient descent and its simplex polish they set
-    are gone, and the fields stay only because the benchmark's workloads
-    build configs with `subgradient_iters` and its tracer reads and
-    replaces `polish`.  `subgradient_iters` is still reported in the `beta`
-    JSON.  The line-search and Newton settings are module constants.  At
-    d=2 every constant is solved exactly and no search setting applies.
+    `starts` is the number of random starts and `rng` pins them.  Both
+    searches stop on their own tests, under fixed safety caps: the power
+    iteration for U at p=2 when a step no longer raises its objective, and
+    the pair search for L and M on gradient tests.  `max_iters`,
+    `subgradient_iters` and `polish` have no effect: the Armijo ascent, the
+    p=1 subgradient descent and the simplex polish they set are gone.  The
+    fields stay only because the benchmark's workloads build configs with
+    `max_iters` and `subgradient_iters` and its tracer reads and replaces
+    `polish`; the first two are still reported in the `beta` JSON.  The
+    search settings are module constants.  At d=2 every constant is solved
+    exactly and no search setting applies.
     """
 
     starts: int = 64
@@ -307,81 +308,51 @@ def _rescaled(e: LipschitzEstimate, k: int) -> LipschitzEstimate:
 
 
 # ---------------------------------------------------------------------------
-# batched Riemannian line search
+# U at p=2: the power iteration of the fourth moment
 # ---------------------------------------------------------------------------
 
-# Line-search settings: the stopping test on the tangent gradient norm
-# (relative to 1 + |f|), the first trial step, the backtracking factor and the
-# Armijo sufficient-increase constant.
-_GRADIENT_TOL = 1e-10
-_STEP_INIT = 1.0
-_STEP_SHRINK = 0.5
-_ARMIJO = 1e-4
-
-
-def _armijo(U, value, tangent, retract, max_iters: int):
-    """Batched Armijo ascent on a manifold, one start per row of U.
-
-    Its two callers are the U ascent at p=2 on the unit sphere and
-    `_descent_starts`, a few steps on the negated pair objective in packed
-    coordinates.  `value(U)` gives the n objective values, and `tangent(U)`
-    returns them together with the tangent gradient.  Each trial step is
-    mapped back by `retract` and accepted at the Armijo point (Absil,
-    Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
-    sec. 4.2).  Updates U in place and returns the final
-    values.
-    """
-    f = value(U)
-    n = f.shape[0]
-    step = np.full(n, _STEP_INIT)
-    alive = np.ones(n, dtype=bool)
-    for _ in range(max_iters):
-        fs, G = tangent(U)
-        gnorm2 = np.sum(np.abs(G) ** 2, axis=1)
-        active = alive & (gnorm2 > (_GRADIENT_TOL * (1.0 + np.abs(fs))) ** 2)
-        if not active.any():
-            break
-        step = np.minimum(step * 2.0, 1e6)
-        improved = np.zeros(n, dtype=bool)
-        for _bt in range(40):
-            trial = np.where(active & ~improved)[0]
-            if trial.size == 0:
-                break
-            cand = retract(U[trial] + step[trial, None] * G[trial])
-            fc = value(cand)
-            ok = fc >= f[trial] + _ARMIJO * step[trial] * gnorm2[trial]
-            U[trial[ok]] = cand[ok]
-            f[trial[ok]] = fc[ok]
-            improved[trial[ok]] = True
-            step[trial[~ok]] *= _STEP_SHRINK
-        # a start whose whole backtracking round failed is at the precision
-        # floor of the line search; retire it instead of rescanning forever
-        alive[active & ~improved] = False
-        if not improved.any():
-            break
-    return f
+# The power iteration raises f at every step until rounding stops it, after
+# at most a few thousand steps on the tests' draws; the cap only bounds the
+# loop.
+_POWER_CAP = 100000
 
 
 def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
+    """The largest f(u) = sum_j |<a_j, u>|^4 reached by the power iteration.
+
+    f is convex in the real coordinates of u, so with g its gradient at a
+    unit u, f(g / |g|) >= f(u) + g . (g / |g| - u) >= f(u): the zero-shift
+    power iteration u <- g / |g| never lowers f, and needs no step size
+    (Kofidis & Regalia, SIAM J. Matrix Anal. Appl. 2002; Kolda & Mayo,
+    SS-HOPM, SIAM J. Matrix Anal. Appl. 2011).  It runs from `cfg.starts`
+    random unit vectors and from the unit vectors conj(a_j) / |a_j| of the
+    up to `cfg.starts` longest nonzero rows, where f >= |a_j|^4; those
+    reach the best basin on draws that every random start misses.  A start
+    stops at the first step that does not raise f and keeps its last point.
+    Returns the best value and its unit vector.
+    """
     arr = A.array
-    U = sample_unit(A.field, A.d, cfg.rng.generator(), n=cfg.starts)
-
-    def value(Umat):
-        Y = np.abs(Umat @ arr.T) ** 2
-        return (Y * Y).sum(axis=1)
-
-    def tangent(Umat):
-        Y = Umat @ arr.T
+    norms = np.linalg.norm(arr, axis=1)
+    longest = np.argsort(norms)[::-1][: cfg.starts]
+    longest = longest[norms[longest] > 0.0]
+    U = np.concatenate([sample_unit(A.field, A.d, cfg.rng.generator(), n=cfg.starts),
+                        arr[longest].conj() / norms[longest, None]])
+    Y = U @ arr.T
+    Y2 = np.abs(Y) ** 2
+    f = np.add.reduce(Y2 * Y2, 1)
+    live = np.arange(U.shape[0])
+    for _ in range(_POWER_CAP):
+        # g is the gradient of f up to a positive factor
+        G = (Y2 * Y) @ arr.conj()
+        G /= np.linalg.norm(G, axis=1, keepdims=True)
+        Y = G @ arr.T
         Y2 = np.abs(Y) ** 2
-        G = 2.0 * (Y2 * Y) @ arr.conj()
-        # remove the full complex radial component; the objective is phase
-        # invariant, so the phase direction carries no ascent either
-        return (Y2 * Y2).sum(axis=1), G - np.sum(np.conj(Umat) * G, axis=1, keepdims=True) * Umat
-
-    def retract(Umat):
-        return Umat / np.linalg.norm(Umat, axis=1, keepdims=True)
-
-    f = _armijo(U, value, tangent, retract, cfg.max_iters)
+        fg = np.add.reduce(Y2 * Y2, 1)
+        up = fg > f[live]
+        live, Y, Y2 = live[up], Y[up], Y2[up]
+        U[live], f[live] = G[up], fg[up]
+        if live.size == 0:
+            break
     i = int(np.argmax(f))
     return float(f[i]), U[i].copy()
 
@@ -516,12 +487,11 @@ def _pair_terms(blocks, X) -> np.ndarray:
     return np.add.reduce(Y[:, 0] * Y[:, 1], 1)
 
 
-def _pair_gradient(blocks, X, field: Field, orthogonal: bool):
-    """Terms c_j and the tangent gradient of sum_j c_j^2 at each row of X.
+def _pair_gradient(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
+    """The (runs, 2n) tangent gradients of sum_j c_j^2 at the rows of X.
 
     The gradient is projected off the `_constraint_normals` with their
-    squared norms at feasible pairs.  Returns the (runs, m) terms and the
-    (runs, 2n) gradients.
+    squared norms at feasible pairs.
     """
     k, m, n = blocks.shape
     Y = _images(blocks, X)
@@ -531,7 +501,7 @@ def _pair_gradient(blocks, X, field: Field, orthogonal: bool):
     G = (W.reshape(-1, k * m) @ blocks.reshape(k * m, n)).reshape(-1, 2 * n)
     for N, size in zip(_constraint_normals(X[:, :n], X[:, n:], field, orthogonal), (1.0, 1.0, 2.0, 2.0)):
         G -= (_row_dots(N, G) / size) * N
-    return c, G
+    return G
 
 
 def _pair_starts(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig) -> np.ndarray:
@@ -555,14 +525,16 @@ def _pair_starts(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig) -> np
 # Newton settings: the stopping test on the tangent gradient norm (relative
 # to 1 + f), the safety cap on Newton iterations per run, the longest step,
 # the number of alternating eigen-step rounds that make one start set and of
-# Armijo descent steps that make another, the floor on |Hessian eigenvalue|
-# (relative to 1 + the largest) that bounds the step along flat directions,
-# and the halvings a step may take before it decreases f.
+# Armijo descent steps that make another, with its sufficient-decrease
+# constant, the floor on |Hessian eigenvalue| (relative to 1 + the largest)
+# that bounds the step along flat directions, and the halvings a Newton or
+# descent step may take before it decreases f.
 _NEWTON_TOL = 1e-11
 _NEWTON_CAP = 100
 _NEWTON_RADIUS = 0.3
 _ALTERNATIONS = 20
 _DESCENT_STEPS = 5
+_ARMIJO = 1e-4
 _CURVATURE_FLOOR = 1e-10
 _HALVINGS = 40
 
@@ -731,18 +703,29 @@ def _descent_starts(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
 
     The first steps of gradient descent decide the basin it ends in; Newton
     from a random start can jump to another basin, so these points start
-    Newton runs of their own, at both p.
+    Newton runs of their own, at both p.  Each step doubles the run's last
+    step length, halves it at most _HALVINGS times until the Armijo test
+    passes (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, sec. 4.2), and leaves the row where it is if it never
+    does.
     """
-
-    def value(Y):
-        return -np.sum(_pair_terms(blocks, Y) ** 2, axis=1)
-
-    def tangent(Y):
-        c, G = _pair_gradient(blocks, Y, field, orthogonal)
-        return -np.sum(c * c, axis=1), -G
-
     X = X.copy()
-    _armijo(X, value, tangent, lambda Y: _retract_packed(Y, field, orthogonal), _DESCENT_STEPS)
+    f = np.sum(_pair_terms(blocks, X) ** 2, axis=1)
+    step = np.ones(X.shape[0])
+    for _ in range(_DESCENT_STEPS):
+        G = _pair_gradient(blocks, X, field, orthogonal)
+        gnorm2 = np.sum(G * G, axis=1)
+        step *= 2.0
+        pending = np.arange(X.shape[0])
+        for _ in range(_HALVINGS):
+            cand = _retract_packed(X[pending] - step[pending, None] * G[pending], field, orthogonal)
+            fc = np.sum(_pair_terms(blocks, cand) ** 2, axis=1)
+            ok = fc <= f[pending] - _ARMIJO * step[pending] * gnorm2[pending]
+            X[pending[ok]], f[pending[ok]] = cand[ok], fc[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            step[pending] *= 0.5
     return X
 
 
@@ -864,8 +847,14 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
 
     p=1 reduces to the top eigenvalue of A*A, and at d=2 p=2 is a
     trust-region subproblem in the planar coordinates; both are solved
-    exactly (method ClosedForm).  Otherwise p=2 runs multi-start projected
-    gradient ascent of the fourth-moment sum over the unit sphere.
+    exactly (method ClosedForm).  Otherwise p=2 runs the power iteration
+    u <- g / |g|, with g the gradient of sum_j |<a_j, u>|^4, from
+    `cfg.starts` random unit vectors and from the directions of the up to
+    `cfg.starts` longest rows.  The sum is convex, so no step lowers it; a
+    start stops at the first step that does not raise it, so the result
+    does not depend on an iteration budget, and the value is that of the
+    best start (method MultiStartLocal).  `max_iters`, `subgradient_iters`
+    and `polish` do not apply.
     """
     p = _check_p(p)
     cfg = cfg or OptimizerConfig()
@@ -893,8 +882,8 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
 def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: bool) -> LipschitzEstimate:
     p = _check_p(p)
     _nonzero_matrix(A)
-    if orthogonal and A.d < 2:
-        raise ValueError("orthogonal pairs need dimension d >= 2")
+    if A.d < 2:
+        raise ValueError(f"L and M need dimension d >= 2, and this matrix has d = {A.d}")
     A, k = _unit_scale(A)
 
     record = None

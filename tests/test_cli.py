@@ -152,6 +152,16 @@ def test_beta_rejects_conflicting_inputs(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_beta_rejects_one_column_matrices(capsys, tmp_path, field):
+    path = tmp_path / "column.csv"
+    path.write_text("1.0\n2.0\n")
+    code, out, err = run_cli(capsys, "beta", "--matrix", str(path), "--field", field)
+    assert code == 2
+    assert out == ""
+    assert "need dimension d >= 2" in err
+
+
 def test_beta_rejects_missing_file(capsys):
     code, _, err = run_cli(capsys, "beta", "--matrix", "/nonexistent/path.json")
     assert code == 2

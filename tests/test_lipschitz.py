@@ -38,6 +38,9 @@ from prcond.lipschitz import (
 # heavy defaults are unnecessary at the sizes used here
 QUICK = OptimizerConfig(starts=12, max_iters=200, subgradient_iters=1200)
 
+# the acceptance sweep settings (criteria 3 and 4)
+SWEEP = OptimizerConfig(starts=12, max_iters=300, subgradient_iters=1500)
+
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
@@ -94,6 +97,107 @@ def test_upper_rejects_zero_matrix():
         upper_lipschitz(SensingMatrix(Field.REAL, [[0.0, 0.0]]), 1)
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("rows", [np.eye(3)[:2], np.eye(3)])
+def test_upper_p2_reaches_one_on_coordinate_rows(field, rows):
+    # sum_j |u_j|^4 over the first two or all three coordinates peaks at 1,
+    # on a coordinate vector; the power iteration gets there from the
+    # default starts, where 500 Armijo steps stopped at 0.99987 to 0.99993
+    A = SensingMatrix(field, rows.astype(complex) if field is Field.COMPLEX else rows)
+    est = upper_lipschitz(A, 2)
+    assert est.method is Method.MULTI_START_LOCAL
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert upper_objective(A, est.witness, 2) == pytest.approx(est.value, rel=1e-14)
+
+
+# (field, d, m, seed, U) at p=2 from the Armijo ascent the power iteration
+# replaced (300 steps) at SWEEP, on sample_gaussian(field, m, d,
+# RngSpec(seed, 10000 * is_complex + 1000 * d + m)), with m at the
+# injectivity threshold, one above it, twice it, 12 d and 300
+ARMIJO_U = [
+    (Field.REAL, 3, 5, 1, 3.693657970952783),
+    (Field.REAL, 3, 5, 2, 9.276349403310467),
+    (Field.REAL, 3, 6, 1, 5.521682811232405),
+    (Field.REAL, 3, 6, 2, 8.302711924569852),
+    (Field.REAL, 3, 10, 1, 12.956235034423985),
+    (Field.REAL, 3, 10, 2, 6.669739631001827),
+    (Field.REAL, 3, 36, 1, 10.688108416817046),
+    (Field.REAL, 3, 36, 2, 14.622838348858442),
+    (Field.REAL, 3, 300, 1, 32.804844976791635),
+    (Field.REAL, 3, 300, 2, 32.447687542184184),
+    (Field.REAL, 4, 7, 1, 6.284076311631736),
+    (Field.REAL, 4, 7, 2, 4.61575850005501),
+    (Field.REAL, 4, 8, 1, 13.236467379929561),
+    (Field.REAL, 4, 8, 2, 6.154610637277804),
+    (Field.REAL, 4, 14, 1, 10.66139728444045),
+    (Field.REAL, 4, 14, 2, 11.166444454171323),
+    (Field.REAL, 4, 48, 1, 24.536253703771678),
+    (Field.REAL, 4, 48, 2, 17.39320170634277),
+    (Field.REAL, 4, 300, 1, 32.40947575167819),
+    (Field.REAL, 4, 300, 2, 35.89436982592684),
+    (Field.REAL, 5, 9, 1, 13.982861106004849),
+    (Field.REAL, 5, 9, 2, 9.214722890384419),
+    (Field.REAL, 5, 10, 1, 9.85226317208737),
+    (Field.REAL, 5, 10, 2, 12.187293722516753),
+    (Field.REAL, 5, 18, 1, 16.57240058758782),
+    (Field.REAL, 5, 18, 2, 13.183667890075556),
+    (Field.REAL, 5, 60, 1, 22.51284657272287),
+    (Field.REAL, 5, 60, 2, 20.406499699012052),
+    (Field.REAL, 5, 300, 1, 36.7687680409178),
+    (Field.REAL, 5, 300, 2, 39.938633598309075),
+    (Field.COMPLEX, 3, 8, 1, 5.649442744947459),
+    (Field.COMPLEX, 3, 8, 2, 6.6698106404801605),
+    (Field.COMPLEX, 3, 9, 1, 7.7130983903074455),
+    (Field.COMPLEX, 3, 9, 2, 7.569509370693168),
+    (Field.COMPLEX, 3, 16, 1, 9.426127171905602),
+    (Field.COMPLEX, 3, 16, 2, 9.200155478511382),
+    (Field.COMPLEX, 3, 36, 1, 8.269736797514556),
+    (Field.COMPLEX, 3, 36, 2, 12.418581513262023),
+    (Field.COMPLEX, 3, 300, 1, 26.85618088248522),
+    (Field.COMPLEX, 3, 300, 2, 26.003455517293578),
+    (Field.COMPLEX, 4, 12, 1, 12.608703548492434),
+    (Field.COMPLEX, 4, 12, 2, 9.080185427481984),
+    (Field.COMPLEX, 4, 13, 1, 7.399831608438029),
+    (Field.COMPLEX, 4, 13, 2, 7.119188508069305),
+    (Field.COMPLEX, 4, 24, 1, 10.434399819909798),
+    (Field.COMPLEX, 4, 24, 2, 11.407926874720474),
+    (Field.COMPLEX, 4, 48, 1, 17.182542490473967),
+    (Field.COMPLEX, 4, 48, 2, 14.18896016457078),
+    (Field.COMPLEX, 4, 300, 1, 29.780990769683065),
+    (Field.COMPLEX, 4, 300, 2, 27.048246655173823),
+    (Field.COMPLEX, 5, 16, 1, 15.474021749640531),
+    (Field.COMPLEX, 5, 16, 2, 10.06473458691359),
+    (Field.COMPLEX, 5, 17, 1, 9.669357494034752),
+    (Field.COMPLEX, 5, 17, 2, 12.033596293469763),
+    (Field.COMPLEX, 5, 32, 1, 16.403565774693433),
+    (Field.COMPLEX, 5, 32, 2, 13.029073252412386),
+    (Field.COMPLEX, 5, 60, 1, 19.253307495992047),
+    (Field.COMPLEX, 5, 60, 2, 15.619908978864327),
+    (Field.COMPLEX, 5, 300, 1, 31.287867487626794),
+    (Field.COMPLEX, 5, 300, 2, 30.9971388202168),
+]
+
+
+@pytest.mark.parametrize("field, d, m, seed, U_old", ARMIJO_U)
+def test_power_iteration_is_never_below_the_armijo_ascent(field, d, m, seed, U_old):
+    A = sample_gaussian(field, m, d, RngSpec(seed, 10000 * (field is Field.COMPLEX) + 1000 * d + m))
+    est = upper_lipschitz(A, 2, SWEEP)
+    assert est.value >= U_old * (1.0 - 1e-12)
+    assert upper_objective(A, est.witness, 2) == pytest.approx(est.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("seed, U_best", [(4302, 35.1654), (9202, 35.3560)])
+def test_power_iteration_passes_the_benchmark_check_of_sweep_d4(seed, U_best):
+    # the real p=2 draw of sweep-d4's job 5: at seed 4302 the Armijo ascent
+    # stopped at U = 34.6158 from these 12 starts, below a random unit
+    # vector's 34.9228, which the benchmark's check rejects, and 64 starts
+    # gave 35.1654; at seed 9202 the power iteration from the 12 random
+    # starts alone stops at 34.6664, below 34.7715, and the starts at the
+    # longest rows reach 35.3561
+    A = sample_gaussian(Field.REAL, 300, 4, RngSpec(seed, 22))
+    assert upper_lipschitz(A, 2, SWEEP).value >= U_best
+
+
 # ---------------------------------------------------------------------------
 # lower constants
 # ---------------------------------------------------------------------------
@@ -145,12 +249,20 @@ def test_polished_orthogonal_witness_stays_orthogonal():
     assert pair_objective(A, est.witness.u, est.witness.v, 2) == pytest.approx(est.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_lower_constants_reject_one_column(field):
+    # a d=1 matrix once reached the pair search and died inside an empty
+    # eigenvalue reduction
+    A = SensingMatrix(field, np.array([[1.0], [2.0]], dtype=complex if field is Field.COMPLEX else float))
+    for solve in (lower_lipschitz, orthogonal_lower_bound, condition_number):
+        for p in (1, 2):
+            with pytest.raises(ValueError, match="need dimension d >= 2"):
+                solve(A, p, QUICK)
+
+
 # ---------------------------------------------------------------------------
 # p=2 pair search at d >= 3
 # ---------------------------------------------------------------------------
-
-# the acceptance sweep settings (criteria 3 and 4)
-SWEEP = OptimizerConfig(starts=12, max_iters=300, subgradient_iters=1500)
 
 # (field, d, m, L, M) at p=2 from the search the Newton search replaced (300
 # Armijo steps and a Nelder-Mead polish) at SWEEP, on
@@ -222,16 +334,18 @@ def test_p2_search_leaves_the_high_basin_just_above_the_threshold():
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_p2_search_does_not_depend_on_the_iteration_budget(field):
-    # at both p the pair search stops on its own tests: neither the ascent's
-    # budget nor the inert p=1 fields change an estimate
+    # the pair search at both p and the power iteration for U stop on their
+    # own tests: none of the three inert fields changes an estimate
     A = sample_gaussian(field, 12, 3, RngSpec(11, 0))
     results = set()
-    for budget, sub, polish in itertools.product((300, 3000, 30000), (250, 5000), (True, False)):
+    for budget, sub, polish in itertools.product((1, 300, 3000, 30000), (250, 5000), (True, False)):
         cfg = OptimizerConfig(starts=8, max_iters=budget, subgradient_iters=sub, polish=polish)
         for p in (1, 2):
             for est in (lower_lipschitz(A, p, cfg), orthogonal_lower_bound(A, p, cfg)):
                 results.add((p, est.kind, est.value, est.witness.u.tobytes(), est.witness.v.tobytes()))
-    assert len(results) == 4
+        up = upper_lipschitz(A, 2, cfg)
+        results.add((2, up.kind, up.value, up.witness.tobytes()))
+    assert len(results) == 5
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
