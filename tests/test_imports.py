@@ -12,7 +12,7 @@ from prcond import closedform, core, experiment, lipschitz, oracle
 PACKAGE = Path(prcond.__file__).resolve().parent
 
 EXPORTED = {
-    "BoundSpec", "CSV_HEADER", "ConditionReport", "ConsistencyError",
+    "BandRecord", "BoundSpec", "CSV_HEADER", "ConditionReport", "ConsistencyError",
     "Constraint", "ConvergenceRecord", "ConvergenceRow", "EstimateKind",
     "ExperimentConfig", "ExperimentRecord", "Field", "GENERATOR_NAME", "GridSpec",
     "HarmonicConstants", "LipschitzEstimate", "McEstimate", "Method",

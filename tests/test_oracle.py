@@ -19,8 +19,10 @@ from prcond.core import (
     sample_gaussian,
 )
 from prcond.lipschitz import (
+    BandRecord,
     EstimateKind,
     Method,
+    estimate_to_json_dict,
     lower_lipschitz,
     orthogonal_lower_bound,
     pair_objective,
@@ -167,6 +169,135 @@ def test_oracle_requires_planar_input():
         grid_lower_l(B, 2, Constraint.FREE)
     with pytest.raises(ValueError):
         grid_lower_l(B, 3)
+
+
+# ---------------------------------------------------------------------------
+# branch-and-bound record and layout parity
+# ---------------------------------------------------------------------------
+
+def _three_bands(A, p, grid):
+    """L, M and U of a planar matrix at one p, each with its number of box axes."""
+    angles = 1 if A.field is Field.REAL else 2
+    return (
+        (grid_lower_l(A, p, Constraint.REAL_INNER, grid), angles + 1),
+        (grid_lower_l(A, p, Constraint.ORTHOGONAL, grid), angles),
+        (grid_upper_u(A, p, grid), angles),
+    )
+
+
+def test_branch_bound_records_gap_and_level_cap_stops():
+    spec = GridSpec(resolution=16, halvings=5)
+
+    def flat(cent, half):
+        one = np.ones(cent.shape[1])
+        return one, one, half
+
+    res = oracle._branch_bound(flat, [0.0], [1.0], spec)
+    assert res.record == BandRecord("gap", 16, 0, 16)
+    assert res.floor == res.best == 1.0
+
+    # F(x) = x with exact cell floors: only the cell at 0 stays live, and
+    # each level splits it in two until the level cap
+    def line(cent, half):
+        return cent[0], cent[0] - half[0], half
+
+    res = oracle._branch_bound(line, [0.0], [1.0], spec)
+    assert res.record == BandRecord("level cap", 16 + 2 * 5, 5, 16)
+    assert res.floor == 0.0
+    assert res.best == 2.0 ** -10
+
+
+def test_band_record_reports_a_max_cells_stop():
+    A = sample_gaussian(Field.COMPLEX, 6, 2, RngSpec(5, 6))
+    for p in (1, 2):
+        for est, _k in _three_bands(A, p, GridSpec(max_cells=64)):
+            assert est.convergence.stop == "max_cells"
+            assert est.convergence.levels == 0
+
+
+@pytest.mark.parametrize("field", list(Field))
+def test_band_record_stays_within_the_grid_budget(field):
+    A = sample_gaussian(field, 6, 2, RngSpec(5, 6))
+    for p in (1, 2):
+        for est, k in _three_bands(A, p, FAST_GRID):
+            rec = est.convergence
+            assert isinstance(rec, BandRecord)
+            assert rec.stop in ("gap", "level cap", "max_cells")
+            assert rec.evaluations >= FAST_GRID.axis_points(k) ** k
+            assert rec.levels <= FAST_GRID.max_levels(k)
+            assert rec.largest_frontier <= rec.evaluations
+            assert rec.stop == "max_cells" or rec.largest_frontier <= FAST_GRID.max_cells
+
+
+def test_band_record_stays_out_of_the_json():
+    est = grid_upper_u(harmonic_frame(4), 2, FAST_GRID)
+    assert set(estimate_to_json_dict(est, Field.REAL)) == {
+        "value", "kind", "method", "certified_band", "witness",
+    }
+
+
+# Bands at FAST_GRID of the branch and bound that stored cells as rows, on
+# the draws sample_gaussian(field, m, 2, RngSpec(1414, m)).  With cells as
+# columns it evaluates the same cells in the same order, so the evaluation
+# counts agree exactly and the band edges up to rounding: the sums over the
+# m terms now run in the order of a matrix-vector product, and numpy's row
+# sums changed their order at m = 9.
+_ROW_LAYOUT_BANDS = (
+    ("real", 4, 1, "L", 1538, 1.3319895452167505, 1.3322507835477673),
+    ("real", 4, 1, "M", 352, 1.7098377175634112, 1.7099072977046375),
+    ("real", 4, 1, "U", 1964, 8.232935449664142, 8.233058045437792),
+    ("real", 4, 2, "L", 74792, 1.0414050670520971, 1.0415790199748214),
+    ("real", 4, 2, "M", 2092, 1.3430783201793122, 1.3431388922820822),
+    ("real", 4, 2, "U", 1724, 6.150224608501391, 6.150301841912694),
+    ("real", 9, 1, "L", 4334, 3.3243501552429677, 3.3251832198302282),
+    ("real", 9, 1, "M", 436, 3.383837986538809, 3.3839612175442366),
+    ("real", 9, 1, "U", 3260, 7.847351642595978, 7.847508756418673),
+    ("real", 9, 2, "L", 113320, 1.8332191753977303, 1.835575894045658),
+    ("real", 9, 2, "M", 4760, 1.8867545204027725, 1.88682541466234),
+    ("real", 9, 2, "U", 2208, 4.8198916486022005, 4.819958271871819),
+    ("real", 10, 1, "L", 4220, 2.2665734070132197, 2.2673506829206524),
+    ("real", 10, 1, "M", 396, 2.8390125290507395, 2.839139467497378),
+    ("real", 10, 1, "U", 2092, 9.64737444065045, 9.647526486502755),
+    ("real", 10, 2, "L", 104502, 1.3219212667877214, 1.3225006569243904),
+    ("real", 10, 2, "M", 3168, 1.5424459188491237, 1.5425030998545377),
+    ("real", 10, 2, "U", 1914, 4.896262459126991, 4.896326974923285),
+    ("complex", 4, 1, "L", 12580, 0.2760878733973185, 0.2767477783404643),
+    ("complex", 4, 1, "M", 3032, 0.31917503691921173, 0.31964014992566786),
+    ("complex", 4, 1, "U", 107248, 6.4402593877413254, 6.443527754748968),
+    ("complex", 4, 2, "L", 146478, 0.22313072853549962, 0.22535718008601188),
+    ("complex", 4, 2, "M", 35688, 0.22614833766274214, 0.2263919903074932),
+    ("complex", 4, 2, "U", 121896, 4.262515227192499, 4.2633623676883525),
+    ("complex", 9, 1, "L", 56420, 1.4259728971974193, 1.4287989230043459),
+    ("complex", 9, 1, "M", 12008, 2.148125738239649, 2.1496905332235414),
+    ("complex", 9, 1, "U", 131524, 11.655186530961274, 11.659219191778037),
+    ("complex", 9, 2, "L", 103786, 0.6210223763454051, 0.6397087280767083),
+    ("complex", 9, 2, "M", 109656, 1.0121990973949477, 1.0139193425219988),
+    ("complex", 9, 2, "U", 102318, 4.792427892329123, 4.793817271325565),
+    ("complex", 10, 1, "L", 20312, 1.2818452633974267, 1.2850404190649103),
+    ("complex", 10, 1, "M", 18704, 1.4850988253580455, 1.4877993307403417),
+    ("complex", 10, 1, "U", 101674, 14.069306220570821, 14.081758563260529),
+    ("complex", 10, 2, "L", 124080, 0.5947582117458929, 0.5968366119129151),
+    ("complex", 10, 2, "M", 35996, 0.621403598716688, 0.621919835918997),
+    ("complex", 10, 2, "U", 100576, 6.759241967837976, 6.761086977466418),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_matrix(field, m):
+    return sample_gaussian(Field.parse(field), m, 2, RngSpec(1414, m))
+
+
+@pytest.mark.parametrize("field, m, p, name, evaluations, lo, hi", _ROW_LAYOUT_BANDS)
+def test_bands_match_the_row_layout(field, m, p, name, evaluations, lo, hi):
+    A = _parity_matrix(field, m)
+    if name == "U":
+        est = grid_upper_u(A, p, FAST_GRID)
+    else:
+        constraint = Constraint.REAL_INNER if name == "L" else Constraint.ORTHOGONAL
+        est = grid_lower_l(A, p, constraint, FAST_GRID)
+    assert est.convergence.evaluations == evaluations
+    assert est.certified_band[0] == pytest.approx(lo, rel=1e-14, abs=0.0)
+    assert est.certified_band[1] == pytest.approx(hi, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
