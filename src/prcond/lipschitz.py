@@ -36,6 +36,7 @@ results do not depend on the matrix's scale.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -58,6 +59,7 @@ __all__ = [
     "Method",
     "LipschitzEstimate",
     "ConvergenceRecord",
+    "PowerRecord",
     "BandRecord",
     "OptimizerConfig",
     "ConditionReport",
@@ -123,6 +125,23 @@ class ConvergenceRecord:
 
 
 @dataclass(frozen=True)
+class PowerRecord:
+    """How the power iteration for U at p=2 and d >= 3 ended, for its best start.
+
+    `stop` is "no rise" when the best start stopped at the first step that
+    did not raise f = sum_j |<a_j, u>|^4 and "cap" when the safety cap on
+    steps ended it.  `iterations` counts the steps that start kept, the
+    ones that raised f.  `starts_at_best` counts the starts whose f ended at
+    most 1e-9 (1 + f_best) below the best, the random and the row starts
+    together (see `_ascend_fourth_moment`).
+    """
+
+    stop: str
+    iterations: int
+    starts_at_best: int
+
+
+@dataclass(frozen=True)
 class BandRecord:
     """How the certified planar branch and bound of `oracle` ended.
 
@@ -150,8 +169,9 @@ class LipschitzEstimate:
     the supremum.  `certified_band`, set only by the grid oracle in `oracle`,
     is an interval guaranteed to contain the true optimum.  `convergence`
     says how the number was reached: a `ConvergenceRecord` on the searched
-    L and M (d >= 3), a `BandRecord` on the grid oracle's estimates, None
-    elsewhere.  It is left out of `estimate_to_json_dict`.
+    L and M (d >= 3), a `PowerRecord` on the searched U (p=2, d >= 3), a
+    `BandRecord` on the grid oracle's estimates, None elsewhere.  It is
+    left out of `estimate_to_json_dict`.
     """
 
     value: float
@@ -160,7 +180,7 @@ class LipschitzEstimate:
     witness: "UnitPair | np.ndarray"
     method: Method
     certified_band: tuple[float, float] | None = None
-    convergence: ConvergenceRecord | BandRecord | None = None
+    convergence: ConvergenceRecord | PowerRecord | BandRecord | None = None
 
 
 @dataclass(frozen=True)
@@ -339,7 +359,7 @@ def _rescaled(e: LipschitzEstimate, k: int) -> LipschitzEstimate:
 _POWER_CAP = 100000
 
 
-def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
+def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float, np.ndarray, PowerRecord]:
     """The largest f(u) = sum_j |<a_j, u>|^4 reached by the power iteration.
 
     f is convex in the real coordinates of u, so with g its gradient at a
@@ -351,7 +371,8 @@ def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float
     up to `cfg.starts` longest nonzero rows, where f >= |a_j|^4; those
     reach the best basin on draws that every random start misses.  A start
     stops at the first step that does not raise f and keeps its last point.
-    Returns the best value and its unit vector.
+    Returns the best value, its unit vector and the `PowerRecord` of the
+    best start.
     """
     arr = A.array
     norms = np.linalg.norm(arr, axis=1)
@@ -363,6 +384,7 @@ def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float
     Y2 = np.abs(Y) ** 2
     f = np.add.reduce(Y2 * Y2, 1)
     live = np.arange(U.shape[0])
+    steps = np.zeros(U.shape[0], dtype=np.int64)
     for _ in range(_POWER_CAP):
         # g is the gradient of f up to a positive factor
         G = (Y2 * Y) @ arr.conj()
@@ -373,10 +395,16 @@ def _ascend_fourth_moment(A: SensingMatrix, cfg: OptimizerConfig) -> tuple[float
         up = fg > f[live]
         live, Y, Y2 = live[up], Y[up], Y2[up]
         U[live], f[live] = G[up], fg[up]
+        steps[live] += 1
         if live.size == 0:
             break
     i = int(np.argmax(f))
-    return float(f[i]), U[i].copy()
+    record = PowerRecord(
+        stop="cap" if i in live else "no rise",
+        iterations=int(steps[i]),
+        starts_at_best=int(np.sum(f[i] - f <= 1e-9 * (1.0 + f[i]))),
+    )
+    return float(f[i]), U[i].copy(), record
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +537,26 @@ def _pair_terms(blocks, X) -> np.ndarray:
     return np.add.reduce(Y[:, 0] * Y[:, 1], 1)
 
 
+def _image_gradient(blocks, Y, slope) -> np.ndarray:
+    """The (runs, 2n) gradients of sum_j psi(c_j) from the images Y and the (runs, m) slopes psi'(c_j).
+
+    Row (x_u, x_v) is (sum_B B^T (psi' B x_v), sum_B B^T (psi' B x_u)), one
+    product with the stacked blocks.
+    """
+    k, m, n = blocks.shape
+    W = slope[:, None, None, :] * Y[:, ::-1]
+    return (W.reshape(-1, k * m) @ blocks.reshape(k * m, n)).reshape(-1, 2 * n)
+
+
 def _pair_gradient(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
     """The (runs, 2n) tangent gradients of sum_j c_j^2 at the rows of X.
 
     The gradient is projected off the `_constraint_normals` with their
     squared norms at feasible pairs.
     """
-    k, m, n = blocks.shape
+    n = X.shape[1] // 2
     Y = _images(blocks, X)
-    c = np.add.reduce(Y[:, 0] * Y[:, 1], 1)
-    # row (x_u, x_v) of the gradient is (sum_B B^T (2c B x_v), sum_B B^T (2c B x_u))
-    W = (2.0 * c)[:, None, None, :] * Y[:, ::-1]
-    G = (W.reshape(-1, k * m) @ blocks.reshape(k * m, n)).reshape(-1, 2 * n)
+    G = _image_gradient(blocks, Y, 2.0 * np.add.reduce(Y[:, 0] * Y[:, 1], 1))
     for N, size in zip(_constraint_normals(X[:, :n], X[:, n:], field, orthogonal), (1.0, 1.0, 2.0, 2.0)):
         G -= (_row_dots(N, G) / size) * N
     return G
@@ -576,18 +612,78 @@ _PASSES = 20
 _WIDTH_FLOOR = 1e-100
 _STEP_GROWTH = 2.0
 
-# `_search_pairs` takes the starts in groups whose (runs, m, 2n) tensors of
-# `_second_order` hold at most this many elements, so its memory does not
-# grow with the number of starts.
+# `_search_pairs` takes the starts in groups of _GROUP_ELEMENTS / (3 m 2n),
+# so its memory does not grow with the number of starts.  What the group
+# bounds is the (3, runs, k, k, m) Hessian weights of `_second_order`, with
+# 3 runs per start: at most 3 k^2 / (2n) x _GROUP_ELEMENTS elements, so at
+# most _GROUP_ELEMENTS at d >= 3 (equal at complex d = 3), though a group
+# of one start can exceed it at large m n.  The same budget bounds the
+# triangle products of `_khatri_rao`, whatever m and n, down to one row.
 _GROUP_ELEMENTS = 1 << 21
 
 
-def _q_rows(blocks, X) -> np.ndarray:
-    """The (runs, m, n) rows Q_j x at each row of X: the gradient of c_j in the other vector."""
-    return sum((X @ B.T)[..., None] * B for B in blocks)
+def _khatri_rao(blocks) -> np.ndarray:
+    """The row-wise Khatri-Rao products b_a b_c (a <= c) of the leading rows b of the first block.
+
+    Row j is the upper triangle of the outer product b_j b_j^T; over the
+    complex field these carry the products of the second block too
+    (`_gram_sums`).  It takes the first rows whose products hold at most
+    _GROUP_ELEMENTS values, and at least one, so its size does not grow
+    with m.
+    """
+    a, c = np.triu_indices(blocks.shape[2])
+    part = blocks[0, : max(1, _GROUP_ELEMENTS // a.size)]
+    return part[:, a] * part[:, c]
 
 
-def _best_partner(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
+def _gram_sums(blocks, products, weights) -> np.ndarray:
+    """The (r, n, n) sums sum_{B, B', j} w_{B B' j} B_j B'_j^T for the (r, k, k, m) weights w.
+
+    Every Gram matrix and Hessian block of the pair search is such a sum.
+    Over the complex field the second block's rows are T b = _times_i(b) of
+    the first block's rows b, so B_j B'_j^T is S_j, S_j T^T, T S_j or
+    T S_j T^T with S_j = b_j b_j^T.  The sums of the symmetric S_j under
+    every weight are one product of the weights with the upper triangles
+    `products` (`_khatri_rao(blocks)`, formed once per search); the rows
+    beyond it, if any, are taken in slices of the same size whose products
+    are formed here.  T and T^T then act as `_times_i` on the columns and
+    rows, which is exact.
+    """
+    k, m, n = blocks.shape
+    rows = products.shape[0]
+    W = weights.reshape(-1, m)
+    tri = W[:, :rows] @ products
+    for j in range(rows, m, rows):
+        tri += W[:, j : j + rows] @ _khatri_rao(blocks[:, j:])
+    S = tri[:, _triangle_index(n)].reshape(-1, k, k, n, n)
+    if k == 1:
+        return S[:, 0, 0]
+    # (S00 + S01 T^T) + T (S10 + S11 T^T)
+    left, right = S[:, 0, 0] + _times_i(S[:, 0, 1]), S[:, 1, 0] + _times_i(S[:, 1, 1])
+    return left + _times_i(right.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle_index(n: int) -> np.ndarray:
+    """The (n, n) positions of the entries (a, c) and (c, a) in the upper triangle of `np.triu_indices(n)`."""
+    a, c = np.triu_indices(n)
+    at = np.empty((n, n), dtype=np.intp)
+    at[a, c] = at[c, a] = np.arange(a.size)
+    return at
+
+
+def _partner_gram(blocks, products, X) -> np.ndarray:
+    """The (runs, n, n) forms sum_j (Q_j x)(Q_j x)^T of the partner y in sum_j (x^T Q_j y)^2.
+
+    Q_j x = sum_B (B x)_j B_j, so the weights of `_gram_sums` are
+    (B x)_j (B' x)_j.
+    """
+    k, m, n = blocks.shape
+    Y = (X @ blocks.reshape(k * m, n).T).reshape(-1, k, m)
+    return _gram_sums(blocks, products, Y[:, :, None] * Y[:, None])
+
+
+def _best_partner(blocks, products, X, field: Field, orthogonal: bool) -> np.ndarray:
     """Per row of X, the unit feasible partner y that minimizes sum_j (x^T Q_j y)^2.
 
     The constraints are linear in the partner: it must be orthogonal to
@@ -595,12 +691,11 @@ def _best_partner(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
     """
     cons = _bilinear_constraints(field, orthogonal)
     excluded = np.stack([T(X) for T, _s in cons], axis=-1) if cons else None
-    return _bottom_vectors(_q_rows(blocks, X), excluded)
+    return _bottom_vectors(_partner_gram(blocks, products, X), excluded)
 
 
-def _bottom_vectors(K, excluded) -> np.ndarray:
-    """Per run, the unit x orthogonal to `excluded` that minimizes |K x|^2."""
-    G = np.matmul(K.transpose(0, 2, 1), K)
+def _bottom_vectors(G, excluded) -> np.ndarray:
+    """Per run, the unit x orthogonal to `excluded` that minimizes x^T G x."""
     if excluded is not None:
         R = np.matmul(excluded, excluded.transpose(0, 2, 1))
         P = np.eye(G.shape[-1]) - R
@@ -626,15 +721,19 @@ def _normal_frame(Xu, Xv, field: Field, orthogonal: bool) -> np.ndarray:
     return frame / np.linalg.norm(frame, axis=1, keepdims=True)
 
 
-def _second_order(blocks, X, field: Field, orthogonal: bool, width=None):
+def _second_order(blocks, products, X, field: Field, orthogonal: bool, width=None):
     """Value, tangent gradient and Riemannian Hessian of f at each row of X.
 
     f is sum_j psi(c_j): c_j^2 with `width` None (p=2), and otherwise
     sqrt(c_j^2 + delta^2) - delta at the (runs,) widths delta, written
     c_j^2 / (s_j + delta) with s_j = sqrt(c_j^2 + delta^2), free of
-    cancellation.  The Hessian term J^T diag(psi'') J, with psi'' = 2 at p=2
-    and delta^2 / s^3 at p=1, is one symmetric product of
-    R = sqrt(psi'' / 2) J, so that at p=2 it is exactly 2 J^T J.  The
+    cancellation.  Everything comes from the images B x_u and B x_v
+    (`_images`).  The rows of the Jacobian J of the c_j are
+    (Q_j x_v, Q_j x_u) with Q_j x = sum_B (B x)_j B_j, so the uu, vv and uv
+    blocks of J^T diag(psi'') J (psi'' = 2 at p=2 and delta^2 / s^3 at p=1)
+    and the second-derivative term sum_B B^T diag(psi') B of the uv block
+    are weighted sums of the outer products B_j B'_j^T, which `_gram_sums`
+    forms in one product from the `products` of `_khatri_rao`.  The
     gradient and Hessian are given in an orthonormal basis of the tangent
     space less the flat directions of `_normal_frame`, which is returned
     too, with the multipliers.  The Riemannian Hessian is that of the
@@ -642,32 +741,41 @@ def _second_order(blocks, X, field: Field, orthogonal: bool, width=None):
     multipliers lam_i of the gradient (Absil, Baker & Gallivan, Found.
     Comput. Math. 2007).
     """
-    n = X.shape[1] // 2
+    k, m, n = blocks.shape
+    runs = X.shape[0]
     Xu, Xv = X[:, :n], X[:, n:]
-    Kv, Ku = _q_rows(blocks, Xv), _q_rows(blocks, Xu)
-    c = np.matmul(Kv, Xu[..., None])[..., 0]
+    Y = _images(blocks, X)
+    c = np.add.reduce(Y[:, 0] * Y[:, 1], 1)
     if width is None:
-        psi, slope, root = c * c, 2.0 * c, np.ones_like(c)
+        psi, slope, curve = c * c, 2.0 * c, np.full_like(c, 2.0)
     else:
         delta = width[:, None]
         s = np.sqrt(c * c + delta * delta)
-        psi, slope, root = c * c / (s + delta), c / s, delta / np.sqrt(2.0 * s ** 3)
-    jac = np.concatenate([Kv, Ku], axis=2)
-    grad = np.matmul(slope[:, None, :], jac)[:, 0]
-    R = root[..., None] * jac
-    hess = 2.0 * np.matmul(R.transpose(0, 2, 1), R)
+        psi, slope, curve = c * c / (s + delta), c / s, (delta / s) ** 2 / s
+    grad = _image_gradient(blocks, Y, slope)
+    # weights of the uu, vv and uv blocks on the outer products B_j B'_j^T:
+    # psi'' (B x_v)_j (B' x_v)_j, psi'' (B x_u)_j (B' x_u)_j and
+    # psi'' (B x_v)_j (B' x_u)_j, plus psi'_j where B = B'
+    curved = curve[:, None, None] * Y
+    weights = np.empty((3, runs, k, k, m))
+    for block, (left, right) in enumerate(((1, 1), (0, 0), (1, 0))):
+        np.multiply(curved[:, left, :, None], Y[:, right, None], out=weights[block])
+    for B in range(k):
+        weights[2, :, B, B] += slope
+    H = _gram_sums(blocks, products, weights).reshape(3, runs, n, n)
     gu, gv = grad[:, :n], grad[:, n:]
     eye = np.eye(n)
     lam = [np.sum(Xu * gu, axis=1), np.sum(Xv * gv, axis=1)]
-    hess[:, :n, :n] -= lam[0][:, None, None] * eye
-    hess[:, n:, n:] -= lam[1][:, None, None] * eye
-    mixed = sum(np.matmul(B.T * slope[:, None, :], B) for B in blocks)
+    uv = H[2]
     for T, s in _bilinear_constraints(field, orthogonal):
         # h = x_u^T T^T x_v, and the rows of T(eye) are the T e_k, so it is T^T
         lam.append((s * np.sum(T(Xv) * gu, axis=1) + np.sum(T(Xu) * gv, axis=1)) / 2.0)
-        mixed -= lam[-1][:, None, None] * T(eye)
-    hess[:, :n, n:] += mixed
-    hess[:, n:, :n] += mixed.transpose(0, 2, 1)
+        uv -= lam[-1][:, None, None] * T(eye)
+    hess = np.empty((runs, 2 * n, 2 * n))
+    hess[:, :n, :n] = H[0] - lam[0][:, None, None] * eye
+    hess[:, n:, n:] = H[1] - lam[1][:, None, None] * eye
+    hess[:, :n, n:] = uv
+    hess[:, n:, :n] = uv.transpose(0, 2, 1)
 
     normals = _normal_frame(Xu, Xv, field, orthogonal)
     basis = np.linalg.qr(normals, mode="complete")[0][:, :, normals.shape[2]:]
@@ -751,7 +859,7 @@ def _descent_starts(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
     return X
 
 
-def _newton_runs(blocks, X, field: Field, orthogonal: bool, width=None):
+def _newton_runs(blocks, products, X, field: Field, orthogonal: bool, width=None):
     """Riemannian Newton from each row of X, which it updates in place.
 
     Each step is first tried at min(1, growth x the run's last accepted
@@ -781,7 +889,7 @@ def _newton_runs(blocks, X, field: Field, orthogonal: bool, width=None):
         if live.size == 0:
             break
         value[live], g_t, h_t, basis, lam = _second_order(
-            blocks, X[live], field, orthogonal, width[live] if smooth else None)
+            blocks, products, X[live], field, orthogonal, width[live] if smooth else None)
         gnorm[live] = np.linalg.norm(g_t, axis=1)
         least[live], step = _newton_step(g_t, h_t, basis)
         passed = gnorm[live] <= tol * (1.0 + value[live])
@@ -826,12 +934,16 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, p: int, cfg: OptimizerConf
     v is a bottom eigenvector, and then the same for u); and the start after
     `_DESCENT_STEPS` Armijo descent steps (`_descent_starts`).  At p=1 each
     run's first smoothing width is the median |c_j| at its start.  The
-    starts are taken in groups of at most _GROUP_ELEMENTS / (3 m 2n).
-    Returns the least value, its packed pair and the best run's
+    products of the block rows (`_khatri_rao`) are formed once here for
+    every Gram matrix and Hessian of the search.  The starts are taken in
+    groups of at most _GROUP_ELEMENTS / (3 m 2n), which bounds the Hessian
+    weights of `_second_order`; the products hold at most _GROUP_ELEMENTS
+    values.  Returns the least value, its packed pair and the best run's
     `ConvergenceRecord`.
     """
     field = A.field
     blocks = _real_blocks(A)
+    products = _khatri_rao(blocks)
     starts = _pair_starts(A, orthogonal, cfg)
     n = starts.shape[1] // 2
     group = max(1, _GROUP_ELEMENTS // (3 * A.m * 2 * n))
@@ -839,12 +951,12 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, p: int, cfg: OptimizerConf
     for raw in (starts[i : i + group] for i in range(0, cfg.starts, group)):
         Xu, Xv = raw[:, :n], raw[:, n:]
         for _ in range(_ALTERNATIONS):
-            Xv = _best_partner(blocks, Xu, field, orthogonal)
-            Xu = _best_partner(blocks, Xv, field, orthogonal)
+            Xv = _best_partner(blocks, products, Xu, field, orthogonal)
+            Xu = _best_partner(blocks, products, Xv, field, orthogonal)
         alternated = _retract_packed(np.concatenate([Xu, Xv], axis=1), field, orthogonal)
         X = np.concatenate([alternated, raw, _descent_starts(blocks, raw, field, orthogonal)])
         width = np.maximum(np.median(np.abs(_pair_terms(blocks, X)), axis=1), _WIDTH_FLOOR) if p == 1 else None
-        results.append(_newton_runs(blocks, X, field, orthogonal, width))
+        results.append(_newton_runs(blocks, products, X, field, orthogonal, width))
         points.append(X)
     X = np.concatenate(points)
     f, gnorm, least, stop, steps = (np.concatenate(parts) for parts in zip(*results))
@@ -875,14 +987,15 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
     `cfg.starts` longest rows.  The sum is convex, so no step lowers it; a
     start stops at the first step that does not raise it, so the result
     does not depend on an iteration budget, and the value is that of the
-    best start (method MultiStartLocal).  `max_iters`, `subgradient_iters`
-    and `polish` do not apply.
+    best start (method MultiStartLocal), which carries a `PowerRecord`.
+    `max_iters`, `subgradient_iters` and `polish` do not apply.
     """
     p = _check_p(p)
     cfg = cfg or OptimizerConfig()
     _nonzero_matrix(A)
     A, k = _unit_scale(A)
 
+    record = None
     if p == 1:
         gram = A.array.conj().T @ A.array
         evals, evecs = np.linalg.eigh(gram)
@@ -895,10 +1008,10 @@ def upper_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
         planar._check_witness(square, value ** 2, "exact planar upper")
         method = Method.CLOSED_FORM
     else:
-        fbest, witness = _ascend_fourth_moment(A, cfg)
+        fbest, witness, record = _ascend_fourth_moment(A, cfg)
         value = fbest ** (1.0 / p)
         method = Method.MULTI_START_LOCAL
-    return _rescaled(LipschitzEstimate(value, EstimateKind.UPPER_U, p, witness, method), k)
+    return _rescaled(LipschitzEstimate(value, EstimateKind.UPPER_U, p, witness, method, convergence=record), k)
 
 
 def _lower_estimate(A: SensingMatrix, p: int, cfg: OptimizerConfig, orthogonal: bool) -> LipschitzEstimate:

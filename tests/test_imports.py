@@ -16,7 +16,7 @@ EXPORTED = {
     "Constraint", "ConvergenceRecord", "ConvergenceRow", "EstimateKind",
     "ExperimentConfig", "ExperimentRecord", "Field", "GENERATOR_NAME", "GridSpec",
     "HarmonicConstants", "LipschitzEstimate", "McEstimate", "Method",
-    "NO_PHASE_RETRIEVAL_FLAG", "OptimizerConfig", "PolarRow", "RngSpec",
+    "NO_PHASE_RETRIEVAL_FLAG", "OptimizerConfig", "PolarRow", "PowerRecord", "RngSpec",
     "SQRT3", "SensingMatrix", "SubTanCheck", "SuiteResult", "SweepResult",
     "SweepSummary", "TailCheck", "TightFrameCheck", "UnitPair",
     "VerificationReport", "__version__", "asymptotic_beta",

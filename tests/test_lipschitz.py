@@ -198,6 +198,31 @@ def test_power_iteration_passes_the_benchmark_check_of_sweep_d4(seed, U_best):
     assert upper_lipschitz(A, 2, SWEEP).value >= U_best
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_power_iteration_reports_how_it_ended(field, monkeypatch):
+    # U at p=2 and d >= 3 carries a record of its best start, outside the
+    # JSON payload, whose keys stay those of every other estimate
+    A = sample_gaussian(field, 40, 4, RngSpec(23, int(field is Field.COMPLEX)))
+    report = condition_number(A, 2, SWEEP)
+    rec = report.upper.convergence
+    assert isinstance(rec, lipschitz.PowerRecord)
+    assert rec.stop == "no rise"
+    assert 0 < rec.iterations < lipschitz._POWER_CAP
+    assert 1 <= rec.starts_at_best <= 2 * SWEEP.starts
+    payload = report.to_json_dict()
+    assert list(payload) == [
+        "p", "field", "m", "d", "L", "U", "beta", "beta_is_finite",
+        "theoretical_lower_bound", "flags", "lower", "upper", "solver",
+    ]
+    for side in ("lower", "upper"):
+        assert list(payload[side]) == ["value", "kind", "method", "certified_band", "witness"]
+
+    # a cap below the best start's steps ends it, and the record says so
+    monkeypatch.setattr(lipschitz, "_POWER_CAP", 3)
+    capped = upper_lipschitz(A, 2, SWEEP).convergence
+    assert capped.stop == "cap" and capped.iterations == 3
+
+
 # ---------------------------------------------------------------------------
 # lower constants
 # ---------------------------------------------------------------------------
@@ -390,9 +415,10 @@ def test_runs_at_best_counts_every_run_that_reaches_zero(field):
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("orthogonal", [False, True])
 def test_p2_search_in_groups_of_starts_gives_the_same_estimate(field, orthogonal, monkeypatch):
-    # groups of one or two starts bound the (runs, m, n) tensors; batched
-    # products round alike up to the last bits, so the best value agrees to
-    # rounding, though among runs that tie a different one may win
+    # groups of one or two starts bound the (3, runs, k, k, m) Hessian
+    # weights; batched products round alike up to the last bits, so the best
+    # value agrees to rounding, though among runs that tie a different one
+    # may win
     A = sample_gaussian(field, 40, 3, RngSpec(22, int(orthogonal)))
     solve = orthogonal_lower_bound if orthogonal else lower_lipschitz
     whole = solve(A, 2, QUICK)
@@ -465,7 +491,7 @@ def test_riemannian_hessian_matches_second_differences(field, orthogonal):
     def f(Y):
         return float(np.sum(lipschitz._pair_terms(blocks, lipschitz._retract_packed(Y, field, orthogonal)) ** 2))
 
-    _f, g_t, h_t, basis, _lam = lipschitz._second_order(blocks, X, field, orthogonal)
+    _f, g_t, h_t, basis, _lam = lipschitz._second_order(blocks, lipschitz._khatri_rao(blocks), X, field, orthogonal)
     assert basis.shape[2] == {Field.REAL: 2 * A.d - 2, Field.COMPLEX: 4 * A.d - 5}[field] - orthogonal
     rng = np.random.default_rng(5)
     t = 1e-4
@@ -474,6 +500,75 @@ def test_riemannian_hessian_matches_second_differences(field, orthogonal):
         xi = basis[0] @ z
         second = (f(X + t * xi) + f(X - t * xi) - 2.0 * f(X)) / t ** 2
         assert second == pytest.approx(float(z @ h_t[0] @ z), rel=1e-5)
+
+
+def _jacobian_second_order(blocks, X, field, orthogonal, width=None):
+    """Value, g_t, h_t and multipliers of `_second_order` from the per-run Jacobian.
+
+    The reference formula: the (runs, m, n) rows Q_j x_v and Q_j x_u are
+    built outright, the Hessian is J^T diag(psi'') J plus
+    sum_B B^T diag(psi') B on the uv block, and the basis is the one
+    `_second_order` returns.
+    """
+    n = X.shape[1] // 2
+    Xu, Xv = X[:, :n], X[:, n:]
+    Kv = sum((Xv @ B.T)[..., None] * B for B in blocks)
+    Ku = sum((Xu @ B.T)[..., None] * B for B in blocks)
+    c = np.matmul(Kv, Xu[..., None])[..., 0]
+    if width is None:
+        psi, slope, curve = c * c, 2.0 * c, np.full_like(c, 2.0)
+    else:
+        delta = width[:, None]
+        s = np.sqrt(c * c + delta * delta)
+        psi, slope, curve = c * c / (s + delta), c / s, delta * delta / s ** 3
+    jac = np.concatenate([Kv, Ku], axis=2)
+    grad = np.matmul(slope[:, None, :], jac)[:, 0]
+    hess = np.matmul(jac.transpose(0, 2, 1), curve[..., None] * jac)
+    gu, gv = grad[:, :n], grad[:, n:]
+    eye = np.eye(n)
+    lam = [np.sum(Xu * gu, axis=1), np.sum(Xv * gv, axis=1)]
+    hess[:, :n, :n] -= lam[0][:, None, None] * eye
+    hess[:, n:, n:] -= lam[1][:, None, None] * eye
+    uv = sum(np.matmul(B.T * slope[:, None, :], B) for B in blocks)
+    for T, sign in lipschitz._bilinear_constraints(field, orthogonal):
+        lam.append((sign * np.sum(T(Xv) * gu, axis=1) + np.sum(T(Xu) * gv, axis=1)) / 2.0)
+        uv -= lam[-1][:, None, None] * T(eye)
+    hess[:, :n, n:] += uv
+    hess[:, n:, :n] += uv.transpose(0, 2, 1)
+    basis = lipschitz._second_order(blocks, lipschitz._khatri_rao(blocks), X, field, orthogonal, width)[3]
+    g_t = np.matmul(grad[:, None, :], basis)[:, 0]
+    h_t = np.matmul(np.matmul(basis.transpose(0, 2, 1), hess), basis)
+    return np.sum(psi, axis=1), g_t, h_t, np.stack(lam, axis=1)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("orthogonal", [False, True])
+@pytest.mark.parametrize("width", [None, 1e-1, 1e-5, 1e-9])
+@pytest.mark.parametrize("slice_rows", [None, 5])
+def test_second_order_matches_the_jacobian_formula(field, orthogonal, width, slice_rows, monkeypatch):
+    # the Newton terms from one product of image weights with the Khatri-Rao
+    # products agree with the per-run Jacobian to rounding, at random
+    # feasible pairs, for p=2 (width None) and the smoothed p=1 objective;
+    # with slice_rows set, the products are formed 5 of the m rows at a time
+    A = sample_gaussian(field, 23, 4, RngSpec(31, int(orthogonal)))
+    blocks = lipschitz._real_blocks(A)
+    if slice_rows is not None:
+        n = blocks.shape[2]
+        monkeypatch.setattr(lipschitz, "_GROUP_ELEMENTS", n * (n + 1) // 2 * slice_rows)
+    products = lipschitz._khatri_rao(blocks)
+    X = lipschitz._pair_starts(A, orthogonal, OptimizerConfig(starts=7, rng=RngSpec(32, 0)))
+    widths = None if width is None else np.full(X.shape[0], width)
+    value, g_t, h_t, _basis, lam = lipschitz._second_order(blocks, products, X, field, orthogonal, widths)
+    for got, want in zip((value, g_t, h_t, lam), _jacobian_second_order(blocks, X, field, orthogonal, widths)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # the partner step's forms are the Gram matrices K^T K of the rows Q_j x
+    x = X[:, : X.shape[1] // 2]
+    K = sum((x @ B.T)[..., None] * B for B in blocks)
+    want = np.matmul(K.transpose(0, 2, 1), K)
+    got = lipschitz._partner_gram(blocks, products, x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("orthogonal", [True, False])
