@@ -273,12 +273,21 @@ def sample_gaussian(field: Field, m: int, d: int, rng: RngSpec | np.random.Gener
     m, d = int(m), int(d)
     if m < 1 or d < 1:
         raise ValueError("m and d must be positive")
-    g = _as_generator(rng)
+    return SensingMatrix(field, _gaussian_array(field, m, d, _as_generator(rng)))
+
+
+def _gaussian_array(field: Field, m: int, d: int, g: np.random.Generator) -> np.ndarray:
+    """The stored (m, d) array of `sample_gaussian`, as a plain writable array.
+
+    It reads g in one fixed order: an (m, d) block of normals over the
+    reals; over the complex field a block for the real parts, then one for
+    the imaginary parts, scaled together by 1/sqrt(2).
+    """
     if field is Field.REAL:
-        return SensingMatrix(field, g.standard_normal((m, d)))
+        return g.standard_normal((m, d))
     re = g.standard_normal((m, d))
     im = g.standard_normal((m, d))
-    return SensingMatrix(field, (re + 1j * im) / math.sqrt(2.0))
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
 def sample_unit(field: Field, d: int, rng: RngSpec | np.random.Generator, n: int | None = None) -> np.ndarray:

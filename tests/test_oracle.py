@@ -615,6 +615,32 @@ def test_mc_expectation_needs_enough_samples():
         mc_expectation(Field.REAL, 0.0, 100, RngSpec(1, 0))
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_mc_expectation_rejects_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="finite"):
+        mc_expectation(Field.COMPLEX, theta, 1000, RngSpec(1, 0))
+
+
+def _mc_terms(A: SensingMatrix, theta: float) -> np.ndarray:
+    """|Re(conj(<a,u>) <a,v>)| per row of A, written out on its vectors."""
+    a = A.vectors
+    ct, st = math.cos(theta), math.sin(theta)
+    if A.field is Field.REAL:
+        return np.abs(a[:, 0] * (a[:, 0] * ct + a[:, 1] * st))
+    return np.abs((np.abs(a[:, 0]) ** 2) * ct + (a[:, 0] * np.conj(a[:, 1])).real * st)
+
+
+@pytest.mark.parametrize("field", list(Field))
+def test_mc_expectation_is_the_formula_on_sample_gaussian_bit_for_bit(field):
+    for samples in (1000, 40_000):
+        for spec in (RngSpec(1212, 3), RngSpec(20240817, 25)):
+            for theta in (0.0, math.pi / 8, 1.0, math.pi / 2, 2.5):
+                vals = _mc_terms(sample_gaussian(field, samples, 2, spec), theta)
+                got = mc_expectation(field, theta, samples, spec)
+                assert got.estimate == float(vals.mean())
+                assert got.stderr == float(vals.std(ddof=1) / math.sqrt(samples))
+
+
 # ---------------------------------------------------------------------------
 # bundled verification report
 # ---------------------------------------------------------------------------
@@ -727,6 +753,27 @@ def test_gk_suite_counts_every_admissible_triple_at_the_default_grid():
     )
     assert count == 68_096
     assert _count(oracle._gk_suite(32).detail) == count
+
+
+def test_mc_suite_matches_one_shared_draw_per_field():
+    from prcond.closedform import gaussian_abs_expectation
+
+    samples = 5_000
+    g = RngSpec(31, 4).generator()
+    got = oracle._mc_suite(g, samples)
+    rng = RngSpec(31, 4).generator()
+    worst = 0.0
+    for field in (Field.REAL, Field.COMPLEX):
+        A = sample_gaussian(field, samples, 2, rng)
+        for theta in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
+            vals = _mc_terms(A, theta)
+            stderr = vals.std(ddof=1) / math.sqrt(samples)
+            worst = max(worst, abs(vals.mean() - gaussian_abs_expectation(field, theta)) / stderr)
+    assert abs(got.max_residual - worst) <= 1e-15
+    assert got.passed == (worst <= 4.0)
+    # the suite read exactly one sample per field from the stream
+    assert np.array_equal(g.bit_generator.random_raw(8), rng.bit_generator.random_raw(8))
+    assert _count(got.detail) == samples
 
 
 @pytest.mark.parametrize("zero_bound", [False, True])

@@ -1,4 +1,4 @@
-"""The timing harness under tools/ runs to completion at a tiny size."""
+"""The timing harnesses under tools/ run to completion at a small budget."""
 
 import json
 import os
@@ -28,3 +28,25 @@ def test_time_pair_kernels_writes_its_record(tmp_path):
                          ("_decrease", 2), ("lower_lipschitz", 1), ("lower_lipschitz", 2))
     }
     assert all(r["d"] == 4 and r["m"] == 20 and 0.0 < r["min_s"] <= r["median_s"] for r in rows)
+
+
+def test_time_verify_suites_writes_its_record(tmp_path):
+    # the suites run at verify's own budgets, once: about a second
+    out = tmp_path / "BENCH_verify_suites.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "time_verify_suites.py"),
+         "--repeats", "1", "--out", str(out)],
+        cwd=ROOT, env=dict(os.environ), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text(encoding="utf-8"))
+    env = record["environment"]
+    assert env["cpu_count"] >= 1 and env["blas"] and env["blas_threads"] in (1, None)
+    rows = record["results"]
+    assert [r["suite"] for r in rows] == [
+        "metric-identity", "lagrange-sums", "gk-closed-form", "g-min-at-one", "sub-tan",
+        "expectation-curves", "verify_all",
+    ]
+    assert all(r["calls"] == 1 and 0.0 < r["min_s"] <= r["median_s"] for r in rows)
+    peaks = [r["peak_rss_mb"] for r in rows]
+    assert peaks == sorted(peaks) and peaks[0] > 0.0
