@@ -58,30 +58,23 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
-def _input_matrix(args) -> SensingMatrix | int:
+def _input_matrix(args) -> SensingMatrix:
     """Resolve --matrix / --m (+ optional --field widening) to a matrix."""
     if args.matrix and args.m is not None:
-        return _usage_error("--matrix and --m are mutually exclusive")
+        raise ValueError("--matrix and --m are mutually exclusive")
     if args.matrix:
         A = load_matrix(args.matrix)
         if args.field and Field.parse(args.field) is not A.field:
             if A.field is Field.REAL and args.field == "complex":
                 return SensingMatrix(Field.COMPLEX, A.array.astype(complex))
-            return _usage_error(
-                "a complex matrix file cannot be reinterpreted over the reals"
-            )
+            raise ValueError("a complex matrix file cannot be reinterpreted over the reals")
         return A
     if args.m is not None:
         A = harmonic_frame(args.m)
         if args.field == "complex":
             return SensingMatrix(Field.COMPLEX, A.array.astype(complex))
         return A
-    return _usage_error("provide either --matrix FILE or --m M")
+    raise ValueError("provide either --matrix FILE or --m M")
 
 
 def _optimizer(args) -> OptimizerConfig:
@@ -95,7 +88,7 @@ def _optimizer(args) -> OptimizerConfig:
 
 def _cmd_frame(args) -> int:
     if args.m is None:
-        return _usage_error("frame requires --m")
+        raise ValueError("frame requires --m")
     A = harmonic_frame(args.m)
     if args.format == "csv":
         _emit(matrix_to_csv(A).rstrip("\n"), args.out)
@@ -106,8 +99,6 @@ def _cmd_frame(args) -> int:
 
 def _cmd_beta(args) -> int:
     A = _input_matrix(args)
-    if isinstance(A, int):
-        return A
     report = condition_number(A, args.p, _optimizer(args))
     _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
     return 3 if NO_PHASE_RETRIEVAL_FLAG in report.flags else 0
@@ -117,7 +108,7 @@ def _cmd_bounds(args) -> int:
     field = Field.parse(args.field or "real")
     top = 12 if args.m is None else args.m
     if top < 3:
-        return _usage_error("--m must be at least 3 for the bounds table")
+        raise ValueError("--m must be at least 3 for the bounds table")
     rows = []
     for m in range(3, top + 1):
         bound = universal_lower_bound(field, args.p, m)
@@ -141,10 +132,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     A = _input_matrix(args)
-    if isinstance(A, int):
-        return A
     if A.d != 2:
-        return _usage_error(f"the certified oracle needs d=2 input, got d={A.d}")
+        raise ValueError(f"the certified oracle needs d=2 input, got d={A.d}")
     grid = (oracle_mod.GridSpec() if args.grid_resolution is None
             else oracle_mod.GridSpec(resolution=args.grid_resolution))
     low = oracle_mod.grid_lower_l(A, args.p, Constraint.REAL_INNER, grid)
@@ -170,7 +159,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.m is None or args.d is None:
-        return _usage_error("experiment requires --m and --d")
+        raise ValueError("experiment requires --m and --d")
     cfg = ExperimentConfig(
         field=Field.parse(args.field or "real"),
         p=args.p,

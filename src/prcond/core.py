@@ -426,17 +426,22 @@ def from_polar(rows: Sequence[PolarRow], field: Field) -> SensingMatrix:
 # matrix file formats
 # ---------------------------------------------------------------------------
 
+def _interleaved(w, field: Field) -> list[float]:
+    """The entries of w as one flat list of floats, (re, im) pairs over the complex field."""
+    w = np.asarray(w).ravel()
+    if field is Field.COMPLEX:
+        w = np.stack([w.real, w.imag], axis=-1).ravel()
+    return w.real.astype(np.float64).tolist()
+
+
+def _from_interleaved(v: np.ndarray) -> np.ndarray:
+    """The complex numbers whose (re, im) pairs interleave the last axis of v."""
+    return v[..., 0::2] + 1j * v[..., 1::2]
+
+
 def matrix_to_dict(A: SensingMatrix) -> dict:
     """JSON-ready mapping; complex entries are interleaved (re, im) pairs."""
-    if A.field is Field.REAL:
-        rows = [[float(v) for v in row] for row in A.array]
-    else:
-        rows = []
-        for row in A.array:
-            flat: list[float] = []
-            for z in row:
-                flat.extend((float(z.real), float(z.imag)))
-            rows.append(flat)
+    rows = [_interleaved(row, A.field) for row in A.array]
     return {"field": A.field.value, "m": A.m, "d": A.d, "rows": rows}
 
 
@@ -450,13 +455,11 @@ def matrix_from_dict(data: dict) -> SensingMatrix:
     if len(rows) != m:
         raise ValueError(f"row count {len(rows)} does not match m={m}")
     width = d if field is Field.REAL else 2 * d
-    arr = np.empty((m, d), dtype=field.dtype)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} numbers, expected {width}")
-        vals = np.asarray(row, dtype=np.float64)
-        arr[i] = vals if field is Field.REAL else vals[0::2] + 1j * vals[1::2]
-    return SensingMatrix(field, arr)
+    vals = np.asarray(rows, dtype=np.float64).reshape(m, width)
+    return SensingMatrix(field, vals if field is Field.REAL else _from_interleaved(vals))
 
 
 def _csv_header(field: Field, d: int) -> list[str]:
@@ -473,13 +476,7 @@ def matrix_to_csv(A: SensingMatrix) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_csv_header(A.field, A.d))
     for row in A.array:
-        if A.field is Field.REAL:
-            w.writerow([repr(float(v)) for v in row])
-        else:
-            flat: list[str] = []
-            for z in row:
-                flat.extend((repr(float(z.real)), repr(float(z.imag))))
-            w.writerow(flat)
+        w.writerow([repr(v) for v in _interleaved(row, A.field)])
     return buf.getvalue()
 
 
@@ -504,7 +501,7 @@ def matrix_from_csv(text: str) -> SensingMatrix:
     if complex_file:
         if width % 2:
             raise ValueError("complex matrix file must have an even column count")
-        return SensingMatrix(Field.COMPLEX, arr[:, 0::2] + 1j * arr[:, 1::2])
+        return SensingMatrix(Field.COMPLEX, _from_interleaved(arr))
     return SensingMatrix(Field.REAL, arr)
 
 

@@ -22,9 +22,11 @@ serve both p.  The search is Riemannian Newton with the exact Hessian from
 three points per start (the start, its image under alternating exact
 eigen-steps, and the start after a few Armijo descent steps), on
 sum_j c_j^2 at p=2 and at p=1 on the smoothed sum_j sqrt(c_j^2 + delta^2),
-whose width delta each run drives down by continuation.  Its runs stop on
-tests of convergence under fixed safety caps, and each estimate carries a
-`ConvergenceRecord`.
+whose width delta each run drives down by continuation.  The descent steps
+and the Newton steps take one line search (`_line_search`), which halves a
+step until it decreases f, measured from the images of the start and of
+the step.  Its runs stop on tests of convergence under fixed safety caps,
+and each estimate carries a `ConvergenceRecord`.
 
 Multi-start cannot certify global optimality for d > 2; estimates say so
 through their `method` tag.  On planar matrices the grid oracle in `oracle`
@@ -51,6 +53,7 @@ from .core import (
     RngSpec,
     SensingMatrix,
     UnitPair,
+    _interleaved,
     sample_unit,
 )
 
@@ -270,16 +273,6 @@ class ConditionReport:
                 "generator": GENERATOR_NAME,
             },
         }
-
-
-def _interleaved(w: np.ndarray, field: Field) -> list[float]:
-    out: list[float] = []
-    for z in np.asarray(w).ravel():
-        z = complex(z)
-        out.append(float(z.real))
-        if field is Field.COMPLEX:
-            out.append(float(z.imag))
-    return out
 
 
 def estimate_to_json_dict(e: LipschitzEstimate, field: Field) -> dict:
@@ -548,14 +541,13 @@ def _image_gradient(blocks, Y, slope) -> np.ndarray:
     return (W.reshape(-1, k * m) @ blocks.reshape(k * m, n)).reshape(-1, 2 * n)
 
 
-def _pair_gradient(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
-    """The (runs, 2n) tangent gradients of sum_j c_j^2 at the rows of X.
+def _pair_gradient(blocks, Y, X, field: Field, orthogonal: bool) -> np.ndarray:
+    """The (runs, 2n) tangent gradients of sum_j c_j^2 at the rows of X, from their images Y.
 
     The gradient is projected off the `_constraint_normals` with their
     squared norms at feasible pairs.
     """
     n = X.shape[1] // 2
-    Y = _images(blocks, X)
     G = _image_gradient(blocks, Y, 2.0 * np.add.reduce(Y[:, 0] * Y[:, 1], 1))
     for N, size in zip(_constraint_normals(X[:, :n], X[:, n:], field, orthogonal), (1.0, 1.0, 2.0, 2.0)):
         G -= (_row_dots(N, G) / size) * N
@@ -585,8 +577,8 @@ def _pair_starts(A: SensingMatrix, orthogonal: bool, cfg: OptimizerConfig) -> np
 # the number of alternating eigen-step rounds that make one start set and of
 # Armijo descent steps that make another, with its sufficient-decrease
 # constant, the floor on |Hessian eigenvalue| (relative to 1 + the largest)
-# that bounds the step along flat directions, and the halvings a Newton or
-# descent step may take before it decreases f.
+# that bounds the step along flat directions, and the halvings a step of
+# `_line_search` may take before it decreases f.
 _NEWTON_TOL = 1e-11
 _NEWTON_CAP = 100
 _NEWTON_RADIUS = 0.3
@@ -736,8 +728,9 @@ def _second_order(blocks, products, X, field: Field, orthogonal: bool, width=Non
     forms in one product from the `products` of `_khatri_rao`.  The
     gradient and Hessian are given in an orthonormal basis of the tangent
     space less the flat directions of `_normal_frame`, which is returned
-    too, with the multipliers.  The Riemannian Hessian is that of the
-    Lagrangian, P (H - sum_i lam_i Hess h_i) P, with the least-squares
+    too, with the multipliers and the images, from which `_decrease`
+    measures the line search's trials.  The Riemannian Hessian is that of
+    the Lagrangian, P (H - sum_i lam_i Hess h_i) P, with the least-squares
     multipliers lam_i of the gradient (Absil, Baker & Gallivan, Found.
     Comput. Math. 2007).
     """
@@ -781,7 +774,7 @@ def _second_order(blocks, products, X, field: Field, orthogonal: bool, width=Non
     basis = np.linalg.qr(normals, mode="complete")[0][:, :, normals.shape[2]:]
     g_t = np.matmul(grad[:, None, :], basis)[:, 0]
     h_t = np.matmul(np.matmul(basis.transpose(0, 2, 1), hess), basis)
-    return np.sum(psi, axis=1), g_t, h_t, basis, np.stack(lam, axis=1)
+    return np.sum(psi, axis=1), g_t, h_t, basis, np.stack(lam, axis=1), Y
 
 
 def _newton_step(g_t, h_t, basis):
@@ -801,31 +794,68 @@ def _newton_step(g_t, h_t, basis):
     return w[:, 0], step
 
 
-def _decrease(blocks, X, Xn, lam, field: Field, orthogonal: bool, width=None) -> np.ndarray:
-    """Change of the Lagrangian f - sum_i lam_i h_i from X to Xn, per row.
+def _decrease(blocks, Y, c, X, Xn, lam, field: Field, orthogonal: bool, width=None) -> np.ndarray:
+    """Change of the Lagrangian f - sum_i lam_i h_i from X to Xn, per row, given X's images Y and terms c.
 
-    On feasible points it is the change of f.  Computed from the small
-    differences of the points, and free of the first-order effect of the
-    rounding left in the constraints, it keeps its sign near a minimum,
-    where the two values of f agree to more digits than they carry.  At p=1
-    the change of sqrt(c^2 + delta^2) is that of c^2 over the sum of the two
-    roots.
+    On feasible points it is the change of f; with `lam` None it is the
+    change of f itself.  Computed from the small differences of the points,
+    and free of the first-order effect of the rounding left in the
+    constraints, it keeps its sign near a minimum, where the two values of
+    f agree to more digits than they carry.  With Z the images of
+    D = Xn - X (one `_images` product), c_j changes by
+    dc_j = sum_B Z_u (Y_v + Z_v) + Y_u Z_v and c_j^2 by dc_j (2 c_j + dc_j).
+    At p=1 the change of sqrt(c^2 + delta^2) is that of c^2 over the sum of
+    the two roots.
     """
-    n = X.shape[1] // 2
     D = Xn - X
-    Xu, Xv, Xvn, Du, Dv = X[:, :n], X[:, n:], Xn[:, n:], D[:, :n], D[:, n:]
-    # the images B x_u and B x_v of X, Xn and D
-    (Yu, Yv), (Yun, Yvn), (Zu, Zv) = (_images(blocks, Z).transpose(1, 0, 2, 3) for Z in (X, Xn, D))
-    c = np.add.reduce(Yu * Yv, 1)
-    dc = np.add.reduce(Zu * Yvn, 1) + np.add.reduce(Yu * Zv, 1)
+    Z = _images(blocks, D)
+    Yu, Yv, Zu, Zv = Y[:, 0], Y[:, 1], Z[:, 0], Z[:, 1]
+    dc = np.add.reduce(Zu * (Yv + Zv) + Yu * Zv, 1)
     change = dc * (2.0 * c + dc)
     if width is not None:
         square = (width * width)[:, None]
-        change /= np.sqrt(np.add.reduce(Yun * Yvn, 1) ** 2 + square) + np.sqrt(c * c + square)
+        c_next = c + dc
+        change /= np.sqrt(c_next * c_next + square) + np.sqrt(c * c + square)
+    change = np.add.reduce(change, 1)
+    if lam is None:
+        return change
+    n = X.shape[1] // 2
+    Xu, Xv, Xvn, Du, Dv = X[:, :n], X[:, n:], Xn[:, n:], D[:, :n], D[:, n:]
     dh = [np.sum(Du * (Xu + Du / 2.0), axis=1), np.sum(Dv * (Xv + Dv / 2.0), axis=1)]
     for T, _s in _bilinear_constraints(field, orthogonal):
         dh.append(np.sum(T(Du) * Xvn, axis=1) + np.sum(T(Xu) * Dv, axis=1))
-    return np.sum(change, axis=1) - np.sum(lam * np.stack(dh, axis=1), axis=1)
+    return change - np.sum(lam * np.stack(dh, axis=1), axis=1)
+
+
+def _line_search(blocks, X, rows, Y, direction, scale, margin, lam, field: Field, orthogonal: bool, width=None):
+    """Armijo backtracking of the rows `rows` of X along `direction`, in place.
+
+    Row i moves to the retraction of X[rows[i]] + scale[i] direction[i]
+    once `_decrease` to there, with the multipliers lam[i] (None: the
+    change of f), is below -margin[i] scale[i]; until then its scale is
+    halved, at most _HALVINGS times, and a row that never passes stays
+    where it is (Absil, Mahony & Sepulchre, Optimization Algorithms on
+    Matrix Manifolds, 2008, sec. 4.2).  Y[i] holds the images of the row,
+    from which its terms c_j are formed once, so each trial takes one
+    image product.  `scale` is updated in place, so a moved row's entry is
+    the scale it moved by.  Returns the mask of the moved rows.
+    """
+    pending = np.arange(rows.size)
+    c = np.add.reduce(Y[:, 0] * Y[:, 1], 1)
+    for _ in range(_HALVINGS):
+        at = rows[pending]
+        cand = _retract_packed(X[at] + scale[pending, None] * direction[pending], field, orthogonal)
+        ok = _decrease(blocks, Y, c, X[at], cand, None if lam is None else lam[pending], field, orthogonal,
+                       None if width is None else width[pending]) < -margin[pending] * scale[pending]
+        X[at[ok]] = cand[ok]
+        if ok.any():
+            pending, Y, c = pending[~ok], Y[~ok], c[~ok]
+        if pending.size == 0:
+            break
+        scale[pending] *= 0.5
+    moved = np.ones(rows.size, dtype=bool)
+    moved[pending] = False
+    return moved
 
 
 def _descent_starts(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
@@ -834,40 +864,32 @@ def _descent_starts(blocks, X, field: Field, orthogonal: bool) -> np.ndarray:
     The first steps of gradient descent decide the basin it ends in; Newton
     from a random start can jump to another basin, so these points start
     Newton runs of their own, at both p.  Each step doubles the run's last
-    step length, halves it at most _HALVINGS times until the Armijo test
-    passes (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008, sec. 4.2), and leaves the row where it is if it never
-    does.
+    step length and takes it through `_line_search` along the negative
+    tangent gradient G, with the sufficient decrease _ARMIJO |G|^2 per unit
+    of step (the Armijo test); a row the search never moves stays where it
+    is.  The images of the gradient's evaluation serve the line search.
     """
     X = X.copy()
-    f = np.sum(_pair_terms(blocks, X) ** 2, axis=1)
+    rows = np.arange(X.shape[0])
     step = np.ones(X.shape[0])
     for _ in range(_DESCENT_STEPS):
-        G = _pair_gradient(blocks, X, field, orthogonal)
-        gnorm2 = np.sum(G * G, axis=1)
+        Y = _images(blocks, X)
+        G = _pair_gradient(blocks, Y, X, field, orthogonal)
         step *= 2.0
-        pending = np.arange(X.shape[0])
-        for _ in range(_HALVINGS):
-            cand = _retract_packed(X[pending] - step[pending, None] * G[pending], field, orthogonal)
-            fc = np.sum(_pair_terms(blocks, cand) ** 2, axis=1)
-            ok = fc <= f[pending] - _ARMIJO * step[pending] * gnorm2[pending]
-            X[pending[ok]], f[pending[ok]] = cand[ok], fc[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            step[pending] *= 0.5
+        _line_search(blocks, X, rows, Y, -G, step, _ARMIJO * np.sum(G * G, axis=1), None, field, orthogonal)
     return X
 
 
 def _newton_runs(blocks, products, X, field: Field, orthogonal: bool, width=None):
     """Riemannian Newton from each row of X, which it updates in place.
 
-    Each step is first tried at min(1, growth x the run's last accepted
-    fraction) of its length and halved until it decreases f (measured by
-    `_decrease`).  With `width` None the runs minimize sum_j c_j^2 (p=2) in
-    one pass, which stops when the tangent gradient norm is at most
-    _NEWTON_TOL (1 + f), or at _NEWTON_CAP steps; growth is infinite, so
-    the first trial is the whole step.  Otherwise `width` holds the first
+    Each step goes through `_line_search` with no margin: it is first tried
+    at min(1, growth x the run's last accepted fraction) of its length and
+    halved until it decreases f, measured by `_decrease` from the images
+    that `_second_order` formed.  With `width` None the runs minimize
+    sum_j c_j^2 (p=2) in one pass, which stops when the tangent gradient
+    norm is at most _NEWTON_TOL (1 + f), or at _NEWTON_CAP steps; growth
+    is infinite, so the first trial is the whole step.  Otherwise `width` holds the first
     smoothing widths, which it updates in place too, and the runs minimize
     sum_j |c_j| (p=1) by continuation: passes of Newton on the smoothed f
     at the run's width, each stopped by _PASS_TOL or _PASS_STEPS, after
@@ -888,7 +910,7 @@ def _newton_runs(blocks, products, X, field: Field, orthogonal: bool, width=None
         live = np.flatnonzero(stop == 0)
         if live.size == 0:
             break
-        value[live], g_t, h_t, basis, lam = _second_order(
+        value[live], g_t, h_t, basis, lam, Y = _second_order(
             blocks, products, X[live], field, orthogonal, width[live] if smooth else None)
         gnorm[live] = np.linalg.norm(g_t, axis=1)
         least[live], step = _newton_step(g_t, h_t, basis)
@@ -906,21 +928,12 @@ def _newton_runs(blocks, products, X, field: Field, orthogonal: bool, width=None
             stop[done[narrow]] = 2
             stop[again], steps[again] = 0, 0
             width[again] *= _WIDTH_SHRINK
-        move, step, lam = live[~ended], step[~ended], lam[~ended]
+        move, step, lam, Y = live[~ended], step[~ended], lam[~ended], Y[~ended]
         steps[move] += 1
         scale = np.minimum(1.0, growth * fraction[move])
-        pending = np.arange(move.size)
-        for _ in range(_HALVINGS):
-            rows = move[pending]
-            cand = _retract_packed(X[rows] + scale[pending, None] * step[pending], field, orthogonal)
-            ok = _decrease(blocks, X[rows], cand, lam[pending], field, orthogonal,
-                           width[rows] if smooth else None) < 0.0
-            X[rows[ok]] = cand[ok]
-            fraction[rows[ok]] = scale[pending[ok]]
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            scale[pending] *= 0.5
+        moved = _line_search(blocks, X, move, Y, step, scale, np.zeros(move.size), lam, field, orthogonal,
+                             width[move] if smooth else None)
+        fraction[move[moved]] = scale[moved]
     return value, gnorm, least, stop, steps
 
 
@@ -932,7 +945,9 @@ def _search_pairs(A: SensingMatrix, orthogonal: bool, p: int, cfg: OptimizerConf
     exact block minimization of sum_j c_j^2 (`_best_partner`: for fixed u,
     it is a quadratic form in v and the constraints are linear, so the best
     v is a bottom eigenvector, and then the same for u); and the start after
-    `_DESCENT_STEPS` Armijo descent steps (`_descent_starts`).  At p=1 each
+    `_DESCENT_STEPS` Armijo descent steps (`_descent_starts`).  The descent
+    and the Newton steps share one backtracking line search
+    (`_line_search`).  At p=1 each
     run's first smoothing width is the median |c_j| at its start.  The
     products of the block rows (`_khatri_rao`) are formed once here for
     every Gram matrix and Hessian of the search.  The starts are taken in
@@ -1057,7 +1072,9 @@ def lower_lipschitz(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = None
     eigen-steps (for fixed u the best v is a bottom eigenvector of
     sum_j c_j^2, and then the same for u) and its image under 5 Armijo
     gradient descent steps of sum_j c_j^2 start a Riemannian Newton run
-    with the exact Hessian, in which every step decreases the objective.  At
+    with the exact Hessian.  The descent and the Newton steps share one
+    backtracking line search, which halves a step until it decreases the
+    objective (by a margin on the descent steps), so every step does.  At
     p=2 the objective is L^2 = sum_j c_j^2, and a run stops when its
     tangent gradient norm is at most 1e-11 (1 + L^2), under a fixed safety
     cap.  At p=1 it is sum_j sqrt(c_j^2 + delta^2) - delta, which tends to

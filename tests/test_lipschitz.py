@@ -491,7 +491,8 @@ def test_riemannian_hessian_matches_second_differences(field, orthogonal):
     def f(Y):
         return float(np.sum(lipschitz._pair_terms(blocks, lipschitz._retract_packed(Y, field, orthogonal)) ** 2))
 
-    _f, g_t, h_t, basis, _lam = lipschitz._second_order(blocks, lipschitz._khatri_rao(blocks), X, field, orthogonal)
+    _f, g_t, h_t, basis, _lam, _images = lipschitz._second_order(
+        blocks, lipschitz._khatri_rao(blocks), X, field, orthogonal)
     assert basis.shape[2] == {Field.REAL: 2 * A.d - 2, Field.COMPLEX: 4 * A.d - 5}[field] - orthogonal
     rng = np.random.default_rng(5)
     t = 1e-4
@@ -558,10 +559,11 @@ def test_second_order_matches_the_jacobian_formula(field, orthogonal, width, sli
     products = lipschitz._khatri_rao(blocks)
     X = lipschitz._pair_starts(A, orthogonal, OptimizerConfig(starts=7, rng=RngSpec(32, 0)))
     widths = None if width is None else np.full(X.shape[0], width)
-    value, g_t, h_t, _basis, lam = lipschitz._second_order(blocks, products, X, field, orthogonal, widths)
+    value, g_t, h_t, _basis, lam, images = lipschitz._second_order(blocks, products, X, field, orthogonal, widths)
     for got, want in zip((value, g_t, h_t, lam), _jacobian_second_order(blocks, X, field, orthogonal, widths)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(images, lipschitz._images(blocks, X))
 
     # the partner step's forms are the Gram matrices K^T K of the rows Q_j x
     x = X[:, : X.shape[1] // 2]
@@ -569,6 +571,65 @@ def test_second_order_matches_the_jacobian_formula(field, orthogonal, width, sli
     want = np.matmul(K.transpose(0, 2, 1), K)
     got = lipschitz._partner_gram(blocks, products, x)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _three_product_decrease(blocks, X, Xn, lam, field, orthogonal, width=None):
+    """`_decrease` from the images of X, Xn and D = Xn - X: the reference formula.
+
+    The change of c_j is sum_B Z_u Y_vn + Y_u Z_v with Y, Yn and Z the
+    images of X, Xn and D, and at p=1 the new root takes c_j at Xn from Yn.
+    """
+    n = X.shape[1] // 2
+    D = Xn - X
+    Xu, Xv, Xvn, Du, Dv = X[:, :n], X[:, n:], Xn[:, n:], D[:, :n], D[:, n:]
+    (Yu, Yv), (Yun, Yvn), (Zu, Zv) = (lipschitz._images(blocks, Z).transpose(1, 0, 2, 3) for Z in (X, Xn, D))
+    c = np.add.reduce(Yu * Yv, 1)
+    dc = np.add.reduce(Zu * Yvn, 1) + np.add.reduce(Yu * Zv, 1)
+    change = dc * (2.0 * c + dc)
+    if width is not None:
+        square = (width * width)[:, None]
+        change /= np.sqrt(np.add.reduce(Yun * Yvn, 1) ** 2 + square) + np.sqrt(c * c + square)
+    dh = [np.sum(Du * (Xu + Du / 2.0), axis=1), np.sum(Dv * (Xv + Dv / 2.0), axis=1)]
+    for T, _s in lipschitz._bilinear_constraints(field, orthogonal):
+        dh.append(np.sum(T(Du) * Xvn, axis=1) + np.sum(T(Xu) * Dv, axis=1))
+    return np.sum(change, axis=1) - np.sum(lam * np.stack(dh, axis=1), axis=1)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("orthogonal", [False, True])
+@pytest.mark.parametrize("width", [None, 1e-1, 1e-6])
+def test_decrease_matches_the_three_product_formula_and_the_change_of_f(field, orthogonal, width):
+    # from one image product of D = Xn - X and the images of X, the change
+    # of the Lagrangian agrees to rounding with the reference formula at
+    # feasible pairs from 1e-8 to 0.3 apart, and with f(Xn) - f(X) itself
+    # where the pairs are far enough apart that the values of f differ in
+    # their leading digits
+    A = sample_gaussian(field, 29, 4, RngSpec(41, int(orthogonal)))
+    blocks = lipschitz._real_blocks(A)
+    X = lipschitz._pair_starts(A, orthogonal, OptimizerConfig(starts=16, rng=RngSpec(42, 0)))
+    widths = None if width is None else np.full(X.shape[0], width)
+    _f, _g, _h, _basis, lam, images = lipschitz._second_order(
+        blocks, lipschitz._khatri_rao(blocks), X, field, orthogonal, widths)
+    terms = lipschitz._pair_terms(blocks, X)
+    rng = np.random.default_rng(43)
+    for t in (1e-8, 1e-4, 0.3):
+        Xn = lipschitz._retract_packed(X + t * rng.standard_normal(X.shape), field, orthogonal)
+        got = lipschitz._decrease(blocks, images, terms, X, Xn, lam, field, orthogonal, widths)
+        want = _three_product_decrease(blocks, X, Xn, lam, field, orthogonal, widths)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def f(Z):
+        c = lipschitz._pair_terms(blocks, Z)
+        if width is None:
+            return np.sum(c * c, axis=1)
+        return np.sum(np.sqrt(c * c + width * width) - width, axis=1)
+
+    Xn = lipschitz._retract_packed(X + 0.3 * rng.standard_normal(X.shape), field, orthogonal)
+    got = lipschitz._decrease(blocks, images, terms, X, Xn, lam, field, orthogonal, widths)
+    assert got == pytest.approx(f(Xn) - f(X), rel=1e-10, abs=1e-12)
+    # without multipliers it is the change of f itself
+    plain = lipschitz._decrease(blocks, images, terms, X, Xn, None, field, orthogonal, widths)
+    assert plain == pytest.approx(f(Xn) - f(X), rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("orthogonal", [True, False])

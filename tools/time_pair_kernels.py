@@ -7,7 +7,8 @@ For each field and each m it draws one Gaussian matrix and times
     median |c_j| of each row), on 3 x --starts random feasible pairs, the
     size of one group of Newton runs;
   * `_newton_step` on the terms of the p=2 call;
-  * `_decrease` from those pairs to the retracted Newton points;
+  * `_decrease` from those pairs, with their images from the p=2 call
+    and their terms c_j, to the retracted Newton points;
   * one whole `lower_lipschitz` search at p=1 and at p=2 with --starts
     starts.
 
@@ -62,8 +63,9 @@ def time_matrix(field: Field, m: int, starts: int, repeats: int) -> list:
     blocks = lipschitz._real_blocks(A)
     products = lipschitz._khatri_rao(blocks)
     X = lipschitz._pair_starts(A, False, OptimizerConfig(starts=3 * starts, rng=RngSpec(SEED, 1)))
-    width = np.median(np.abs(lipschitz._pair_terms(blocks, X)), axis=1)
-    _f, g_t, h_t, basis, lam = lipschitz._second_order(blocks, products, X, field, False)
+    c = lipschitz._pair_terms(blocks, X)
+    width = np.median(np.abs(c), axis=1)
+    _f, g_t, h_t, basis, lam, Y = lipschitz._second_order(blocks, products, X, field, False)
     _least, step = lipschitz._newton_step(g_t, h_t, basis)
     Xn = lipschitz._retract_packed(X + step, field, False)
     cfg = OptimizerConfig(starts=starts, rng=RngSpec(SEED, 2))
@@ -71,7 +73,7 @@ def time_matrix(field: Field, m: int, starts: int, repeats: int) -> list:
         ("_second_order", 2, repeats, lambda: lipschitz._second_order(blocks, products, X, field, False)),
         ("_second_order", 1, repeats, lambda: lipschitz._second_order(blocks, products, X, field, False, width)),
         ("_newton_step", 2, repeats, lambda: lipschitz._newton_step(g_t, h_t, basis)),
-        ("_decrease", 2, repeats, lambda: lipschitz._decrease(blocks, X, Xn, lam, field, False)),
+        ("_decrease", 2, repeats, lambda: lipschitz._decrease(blocks, Y, c, X, Xn, lam, field, False)),
         ("lower_lipschitz", 1, 1, lambda: lower_lipschitz(A, 1, cfg)),
         ("lower_lipschitz", 2, 1, lambda: lower_lipschitz(A, 2, cfg)),
     ]
