@@ -7,9 +7,13 @@ the one objective sum kappa_i^p |r + <m_i, y>|^p.  Its infimum with r free
 is L^p, its infimum at r = 0 is M^p, and its supremum at r = 1 is U^p,
 because |<a_i, u>|^2 = kappa_i (1 + <m_i, y>) for the unit vector u with
 coordinates y.  Searching these boxes IS the planar optimum, not a
-relaxation of it.  A branch-and-bound over them with per-axis Lipschitz
-constants yields an interval certified to contain the true optimum, plus
-a witness vector or pair rebuilt from the optimal parameters.
+relaxation of it.  A branch-and-bound over them yields an interval
+certified to contain the true optimum, plus a witness vector or pair
+rebuilt from the optimal parameters.  Its cell floors are centred forms
+(value, partials and a curvature bound, from the moment matrix) on the
+smooth slices, every slice at p=2 and U at p=1, where the band closes on
+its gap; the p=1 L and M slices, whose terms have kinks, keep per-term
+interval bounds.
 
 Identity suite.  The remaining functions check, numerically and over wide
 sweeps, the trigonometric partial-sum identities, the closed form of the
@@ -81,8 +85,10 @@ class GridSpec:
     honestly wider band instead of running forever.  Each grid estimate's
     `convergence` is a `BandRecord` that says which of these ended its
     search.  On the 400 bands of acceptance criterion 7 at the defaults,
-    219 searches end at the level cap and 181 at `max_cells`, none on the
-    gap test, so band widths are set by this budget.
+    247 searches end on the gap test (every U band and 47 of the 100 p=2
+    L bands) and 153 at the level cap (the 100 p=1 L bands, whose per-term
+    floors leave the width to this budget, and 53 p=2 L bands), none at
+    `max_cells`.
     """
 
     resolution: int = 2048
@@ -131,6 +137,33 @@ class _BandResult:
     record: BandRecord
 
 
+# Cells per evaluator call.  Each call's work arrays, (m, cells) for the
+# per-term floor and (<= 4, cells) for the centred form, stay near a
+# megabyte whatever the frontier.
+_CHUNK = 8192
+
+
+def _evaluate(evaluate, cent, half):
+    """Least centre value and its column, then the floors and split axes.
+
+    `evaluate` runs on at most `_CHUNK` columns at a time.  Of its output
+    only the floors and each cell's first widest effective axis are kept,
+    so a level costs 57 bytes a cell with its centres and half-widths.
+    """
+    n = cent.shape[1]
+    floors = np.empty(n)
+    axis = np.empty(n, dtype=np.int8)
+    best, at = math.inf, 0
+    for start in range(0, n, _CHUNK):
+        cols = slice(start, start + _CHUNK)
+        vals, floors[cols], eff = evaluate(cent[:, cols], half[:, cols])
+        axis[cols] = eff.argmax(axis=0)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, at = float(vals[i]), start + i
+    return best, at, floors, axis
+
+
 def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
     """Certified minimum band for a box-constrained objective.
 
@@ -155,10 +188,8 @@ def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
     cent = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     half = np.repeat(((hi - lo) / (2.0 * npts))[:, None], cent.shape[1], axis=1)
 
-    vals, floors, eff = evaluate(cent, half)
+    best, i, floors, axis = _evaluate(evaluate, cent, half)
     evals = largest = cent.shape[1]
-    i = int(np.argmin(vals))
-    best = float(vals[i])
     arg = cent[:, i].copy()
     floor = float(min(floors.min(), best))
 
@@ -175,29 +206,30 @@ def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
         if 2 * idx.size > spec.max_cells:
             stop = "max_cells"
             break
-        # split each kept cell on its first widest axis (a one-hot mask): the
+        # split each kept cell on its split axis (a one-hot mask): the
         # half-width there halves exactly, h - h/2 == h/2, and the children
-        # sit at c -/+ h/2; `take` copies, so the evaluator's `eff`, which
-        # is `half` itself over the reals, is never written
+        # sit at c -/+ h/2; the parent level's arrays go as soon as they are
+        # used, so that a band's peak memory is one level's cells
         n = idx.size
-        e = eff.take(idx, axis=1)
-        widest = e == e.max(axis=0)
-        for j in range(1, k):
-            widest[j] &= ~widest[:j].any(axis=0)
+        widest = np.arange(k)[:, None] == axis.take(idx)
+        del floors, axis
         half = half.take(idx, axis=1)
         step = half * widest
         step *= 0.5
         half -= step
         cent = cent.take(idx, axis=1)
-        cent = np.concatenate([cent - step, cent + step], axis=1)
+        children = np.empty((k, 2 * n))
+        np.subtract(cent, step, out=children[:, :n])
+        np.add(cent, step, out=children[:, n:])
+        del step, widest
+        cent = children
         half = np.concatenate([half, half], axis=1)
-        vals, floors, eff = evaluate(cent, half)
+        least, i, floors, axis = _evaluate(evaluate, cent, half)
         evals += 2 * n
         largest = max(largest, 2 * n)
         levels += 1
-        i = int(np.argmin(vals))
-        if float(vals[i]) < best:
-            best = float(vals[i])
+        if least < best:
+            best = least
             arg = cent[:, i].copy()
         floor = float(min(floors.min(), best))
 
@@ -211,22 +243,25 @@ def _planar_problem(A: SensingMatrix, p: int, r: float | None):
     equator over the reals): r=None leaves r free in [0, 1] (L), r=0 is M,
     and r=1 is U, whose objective kappa_i (1 + <m_i, y>) is |<a_i, u>|^2 at
     the unit vector u with coordinates y.  U is a supremum, so it is posed
-    as -f for the branch and bound to minimize.  The floor uses interval
-    arithmetic per measurement: inside a cell, each |r + <m_i, y>| moves by
-    at most the cell slack h_r + ||Delta y||, and the sphere
-    parameterization bounds ||Delta y|| by h_theta plus sin(theta) times
-    h_gamma (the effective widths reported back for the split heuristic).
-    For U the per-cell ceiling, capped at 2, gives the floor of -f.
+    as -f for the branch and bound to minimize.  The sphere
+    parameterization bounds ||Delta y|| in a cell by h_theta plus
+    sin(theta) times h_gamma: the effective widths reported back for the
+    split heuristic.
+
+    The smooth slices, every slice at p=2 and U at p=1, get the centred
+    form of `_smooth_evaluator`.  The p=1 L and M slices, whose terms have
+    kinks, get a zero-order floor by interval arithmetic per measurement:
+    inside a cell each |r + <m_i, y>| moves by at most the cell slack
+    h_r + ||Delta y||.
 
     Cells are columns, as in `_branch_bound`.  `param(Z)` maps cells Z
     (k, n) to r (a scalar or a row), the sphere points Y as columns (two
     rows over the reals, where the third coordinate is zero, three over
-    the complex field) and sin(theta) (None over the reals).  The terms
-    |r + <m_i, y>| of all cells form one (m, n) array M @ Y, and each sum
-    over the m terms is one product kp @ T.
+    the complex field) and sin(theta) (None over the reals).  The per-term
+    floor forms the terms |r + <m_i, y>| of all cells as one (m, n) array
+    M @ Y, and each sum over the m terms is one product kap @ T.
     """
     kap, M = _bloch_rows(A)
-    kp = kap ** p
     real = A.field is Field.REAL
     if real:
         M = M[:, :2].copy()
@@ -249,36 +284,130 @@ def _planar_problem(A: SensingMatrix, p: int, r: float | None):
         Y[2] *= st
         return rs, Y, st
 
-    def moment(T, S):
-        # sum_i kp_i T_i^p per column; S takes the squares at p=2
-        return kp @ (np.square(T, out=S) if p == 2 else T)
+    def cells(Z, H):
+        # param, and the effective widths: h_gamma times the cell's largest
+        # |sin(theta)|, at most |sin(theta_c)| + h_theta
+        rs, Y, st = param(Z)
+        if real:
+            return rs, Y, st, H
+        eff = H.copy()
+        s = np.abs(st)
+        s += H[-2]
+        np.minimum(s, 1.0, out=s)
+        eff[-1] *= s
+        return rs, Y, st, eff
+
+    if p == 2 or r == 1:
+        return _smooth_evaluator(cells, kap, M, p, r), param, lo, hi
 
     def evaluate(Z, H):
-        rs, Y, st = param(Z)
-        eff = H
-        if not real:
-            eff = H.copy()
-            np.abs(st, out=st)
-            st += H[-2]
-            np.minimum(st, 1.0, out=st)
-            eff[-1] *= st
+        rs, Y, _, eff = cells(Z, H)
         slack = eff.sum(axis=0)
-        # each term |r + <m_i, y>|, then its bound over the cell, in place: at
-        # the largest frontiers every (m, cells) array is tens of MB
+        # each term |r + <m_i, y>|, then its bound over the cell, in place
         T = M @ Y
-        if r != 0:
+        if r is None:
             T += rs
         np.abs(T, out=T)
-        vals = moment(T, np.empty_like(T) if p == 2 else None)
-        if r == 1:
-            T += slack
-            np.minimum(T, 2.0, out=T)
-            return -vals, -moment(T, T), eff
+        vals = kap @ T
         T -= slack
         np.maximum(T, 0.0, out=T)
-        return vals, moment(T, T), eff
+        return vals, kap @ T, eff
 
     return evaluate, param, lo, hi
+
+
+def _smooth_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | None):
+    """Centred-form evaluator of a smooth slice: every slice at p=2, U at p=1.
+
+    With w = (r, y), or w = y at r=0, the p=2 objective is w^T G w for the
+    moment matrix G = sum kappa_i^2 (1, m_i)(1, m_i)^T, evaluated as
+    |R w|^2 with R^T R = G so that it stays >= 0.  At p=1 every term of U
+    is >= 0, so U is the linear g . w with g = sum kappa_i (1, m_i).  The
+    partials are d_a F = 2 (G w) . d_a w, or g . d_a w.  On a cell with
+    half-widths h and sin(theta) at most s, the partials of the sphere map
+    have norms 1 (theta) and s (gamma), so |w - w_c| <= e, the sum of the
+    effective widths h_r + h_theta + s h_gamma.  The second partials have
+    norms 1 (theta theta), |cos(theta)| <= 1 (theta gamma) and s (gamma
+    gamma), and w is linear in r, so the curvature of the sphere map
+    moves w by at most c = h_theta^2 + 2 h_theta h_gamma + s h_gamma^2
+    (h_theta^2 over the reals).  J^T G J is positive semidefinite, so
+    Taylor's theorem about the cell centre gives the floor
+
+        F(z_c) - sum_a |d_a F(z_c)| h_a - (|q_c| + lam_max e) c,
+
+    where q = (G w)_y, the part of G w that meets the sphere's curvature,
+    moves by at most lam_max e over the cell.  The U ceiling adds the
+    dropped J^T G J term, at most lam_max e^2.  At p=1 the curvature term
+    is |g_y| c / 2.  This is the centred (mean-value) form of
+    interval analysis (Moore, Kearfott & Cloud, Introduction to Interval
+    Analysis, SIAM 2009): near the optimum the partials vanish, so the gap
+    falls like h^2 where the zero-order floor falls like h.  Every array it
+    forms is (<= 4, cells).
+    """
+    B = M if r == 0 else np.hstack([np.ones((M.shape[0], 1)), M])
+    if p == 2:
+        B = B * kap[:, None]
+        lam, V = np.linalg.eigh(B.T @ B)
+        R = np.sqrt(np.maximum(lam, 0.0))[:, None] * V.T
+        Ry = R if r == 0 else R[:, 1:]
+        lam_max = float(lam[-1])
+    else:
+        g = kap @ B
+        lam_max = 0.0
+        bend = 0.5 * float(np.linalg.norm(g[1:]))
+
+    def evaluate(Z, H):
+        rs, Y, st, eff = cells(Z, H)
+        if p == 2:
+            v = Ry @ Y
+            if r != 0:
+                v += R[:, :1] * rs
+            F = np.einsum("kn,kn->n", v, v)
+            q = Ry.T @ v
+        else:
+            F = g[1:] @ Y + g[0]
+            q = g[1:]
+        # (d_a F / 2 at p=2, h_a) per box axis: q . d_a y, and (G w)_r for r
+        if st is None:
+            parts = [(q[1] * Y[0] - q[0] * Y[1], H[-1])]
+        else:
+            cg, sg = np.cos(Z[-1]), np.sin(Z[-1])
+            parts = [(Y[0] * (q[1] * cg + q[2] * sg) - q[0] * st, H[-2]),
+                     (q[2] * Y[1] - q[1] * Y[2], H[-1])]
+        if r is None:
+            parts.append((R[:, 0] @ v, H[0]))
+        # in place from here on
+        loss = np.zeros_like(F)
+        for d, h in parts:
+            np.abs(d, out=d)
+            d *= h
+            loss += d
+        # |w - w_c| <= span over the cell, and |sum_ab d_a d_b y h_a h_b| <= reach
+        span = eff.sum(axis=0)
+        if st is None:
+            reach = np.square(H[-1])
+        else:
+            reach = H[-2] + 2.0 * H[-1]
+            reach *= H[-2]
+            reach += eff[-1] * H[-1]
+        if p == 2:
+            loss *= 2.0
+            curve = np.sqrt(np.einsum("kn,kn->n", q, q))
+            curve += lam_max * span
+            reach *= curve
+        else:
+            reach *= bend
+        loss += reach
+        if r == 1:
+            # the ceiling of F is the floor of -F
+            span *= span
+            span *= lam_max
+            loss += span
+            loss += F
+            return -F, np.negative(loss, out=loss), eff
+        return F, np.subtract(F, loss, out=loss), eff
+
+    return evaluate
 
 
 def _planar_band(A: SensingMatrix, p: int, r: float | None, grid: GridSpec | None):

@@ -26,6 +26,7 @@ from prcond.lipschitz import (
     lower_lipschitz,
     orthogonal_lower_bound,
     pair_objective,
+    upper_lipschitz,
     upper_objective,
 )
 from prcond.oracle import (
@@ -40,6 +41,7 @@ from prcond.oracle import (
     mc_expectation,
     verify_all,
 )
+from prcond.planar import _bloch_rows
 
 FAST_GRID = GridSpec(resolution=256, halvings=9, max_cells=40_000)
 
@@ -207,12 +209,101 @@ def test_branch_bound_records_gap_and_level_cap_stops():
     assert res.best == 2.0 ** -10
 
 
+@pytest.mark.parametrize("field,p,r", [
+    (Field.COMPLEX, 1, None), (Field.REAL, 1, 0.0), (Field.COMPLEX, 2, None), (Field.COMPLEX, 1, 1.0),
+])
+def test_bands_do_not_depend_on_the_evaluation_chunk(field, p, r, monkeypatch):
+    # the branch and bound evaluates its cells a chunk at a time, so that
+    # its memory is the frontier's; the chunk size must not change the band
+    A = sample_gaussian(field, 9, 2, RngSpec(1414, 9))
+    whole = oracle._planar_band(A, p, r, FAST_GRID)
+    seen = []
+    problem = oracle._planar_problem
+
+    def recording(*args):
+        evaluate, *rest = problem(*args)
+
+        def counted(Z, H):
+            seen.append(Z.shape[1])
+            return evaluate(Z, H)
+
+        return (counted, *rest)
+
+    monkeypatch.setattr(oracle, "_planar_problem", recording)
+    monkeypatch.setattr(oracle, "_CHUNK", 97)
+    (res, rs, y), (ref, ref_rs, ref_y) = oracle._planar_band(A, p, r, FAST_GRID), whole
+    assert max(seen) == 97 and sum(seen) == res.record.evaluations
+    assert (res.floor, res.best, res.record, rs) == (ref.floor, ref.best, ref.record, ref_rs)
+    assert res.arg.tobytes() == ref.arg.tobytes() and y.tobytes() == ref_y.tobytes()
+
+
 def test_band_record_reports_a_max_cells_stop():
+    # after the initial sweep more than 32 cells stay live on the p=1 L and
+    # M slices and on p=2 L, so they stop at level 0; the centred floors of
+    # the smooth M and U slices prune enough to close on the gap
     A = sample_gaussian(Field.COMPLEX, 6, 2, RngSpec(5, 6))
     for p in (1, 2):
-        for est, _k in _three_bands(A, p, GridSpec(max_cells=64)):
+        (low, _), (orth, _), (up, _) = _three_bands(A, p, GridSpec(max_cells=64))
+        for est in (low, orth) if p == 1 else (low,):
             assert est.convergence.stop == "max_cells"
             assert est.convergence.levels == 0
+        for est in (up,) if p == 1 else (orth, up):
+            assert est.convergence.stop == "gap"
+            assert est.convergence.largest_frontier <= est.convergence.evaluations
+
+
+def _slice_by_terms(A, p, r, Z):
+    """sum kappa_i^p |r + <m_i, y>|^p at the points Z (k, n), term by term."""
+    kap, M = _bloch_rows(A)
+    rs = Z[0] if r is None else r
+    if A.field is Field.REAL:
+        Y = np.stack([np.cos(Z[-1]), np.sin(Z[-1])])
+    else:
+        st = np.sin(Z[-2])
+        Y = np.stack([np.cos(Z[-2]), st * np.cos(Z[-1]), st * np.sin(Z[-1])])
+    return (kap ** p) @ np.abs(M[:, : len(Y)] @ Y + rs) ** p
+
+
+def _test_cells(field, r, h, evaluate, lo, hi):
+    """Cell centres (k, n) of half-width h for the floor checks.
+
+    The cells touch theta = 0 and pi, r = 0 and 1, and two more sit at the
+    least and the greatest point of a coarse sweep, where the slice curves
+    most; the floors need not stay inside the box.
+    """
+    if field is Field.REAL:
+        axes = [[h, np.pi - h, np.pi + h, 2.0 * np.pi - h, 2.0]]
+    else:
+        axes = [[h, np.pi - h, 1.0], [h, 3.0, 2.0 * np.pi - h]]
+    if r is None:
+        axes = [[h, 0.5, 1.0 - h]] + axes
+    edges = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    sweep = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.linspace(a, b, 40) for a, b in zip(lo, hi)], indexing="ij")])
+    vals, _, _ = evaluate(sweep, np.zeros_like(sweep))
+    return np.concatenate([edges, sweep[:, [np.argmin(vals), np.argmax(vals)]]], axis=1)
+
+
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("p, r", [(2, None), (2, 0.0), (2, 1.0), (1, 1.0)])
+def test_centred_floors_bound_the_slice_on_each_cell(field, p, r):
+    # U is posed as -F, so one check covers the L and M floors and the U
+    # ceiling: no point of a dense grid of a cell undercuts the cell's floor
+    A = sample_gaussian(field, 7, 2, RngSpec(23, 7))
+    evaluate, _, lo, hi = oracle._planar_problem(A, p, r)
+    sign = -1.0 if r == 1 else 1.0
+    scale = float((_bloch_rows(A)[0] ** p).sum())
+    offsets = np.linspace(-1.0, 1.0, 9)
+    for h in (0.3, 0.05, 1e-3):
+        cent = _test_cells(field, r, h, evaluate, lo, hi)
+        half = np.full_like(cent, h)
+        vals, floors, _ = evaluate(cent, half)
+        assert vals == pytest.approx(sign * _slice_by_terms(A, p, r, cent), rel=1e-12,
+                                     abs=1e-12 * scale)
+        grid = np.stack([g.ravel() for g in np.meshgrid(*[offsets] * len(cent), indexing="ij")])
+        for c, f in zip(cent.T, floors):
+            dense = sign * _slice_by_terms(A, p, r, c[:, None] + h * grid)
+            assert f <= dense.min() + 1e-12 * scale
 
 
 @pytest.mark.parametrize("field", list(Field))
@@ -241,7 +332,10 @@ def test_band_record_stays_out_of_the_json():
 # columns it evaluates the same cells in the same order, so the evaluation
 # counts agree exactly and the band edges up to rounding: the sums over the
 # m terms now run in the order of a matrix-vector product, and numpy's row
-# sums changed their order at m = 9.
+# sums changed their order at m = 9.  Only the p=1 L and M rows still use
+# the per-term floor; the smooth slices (every slice at p=2, U at p=1) have
+# centred floors, and their rows are now upper bounds on the work and the
+# width of a band that must still contain the closed-form constant.
 _ROW_LAYOUT_BANDS = (
     ("real", 4, 1, "L", 1538, 1.3319895452167505, 1.3322507835477673),
     ("real", 4, 1, "M", 352, 1.7098377175634112, 1.7099072977046375),
@@ -295,9 +389,23 @@ def test_bands_match_the_row_layout(field, m, p, name, evaluations, lo, hi):
     else:
         constraint = Constraint.REAL_INNER if name == "L" else Constraint.ORTHOGONAL
         est = grid_lower_l(A, p, constraint, FAST_GRID)
-    assert est.convergence.evaluations == evaluations
-    assert est.certified_band[0] == pytest.approx(lo, rel=1e-14, abs=0.0)
-    assert est.certified_band[1] == pytest.approx(hi, rel=1e-14, abs=0.0)
+    band = est.certified_band
+    if p == 1 and name != "U":
+        assert est.convergence.evaluations == evaluations
+        assert band[0] == pytest.approx(lo, rel=1e-14, abs=0.0)
+        assert band[1] == pytest.approx(hi, rel=1e-14, abs=0.0)
+        return
+    exact = {"L": lower_lipschitz, "M": orthogonal_lower_bound, "U": upper_lipschitz}[name](A, p)
+    assert exact.method is Method.CLOSED_FORM
+    tol = 1e-12 * exact.value
+    assert band[0] - tol <= exact.value <= band[1] + tol
+    # the certified edge is no looser, the band no wider, the work no larger
+    if name == "U":
+        assert band[1] <= hi
+    else:
+        assert band[0] >= lo
+    assert band[1] - band[0] <= hi - lo
+    assert est.convergence.evaluations <= evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +505,9 @@ def test_derived_planar_minima_match_external_search(case):
     for (p, label), want in expected.items():
         est = _derived_estimate(case, p, label)
         lo, _hi = est.certified_band
-        # a feasible external value can never undercut the certified floor
-        assert want >= lo - 1e-9
+        # a feasible external value can never undercut the certified floor;
+        # it is printed to 8 decimals, and rounding is monotone
+        assert want >= round(lo, 8)
         # nor beat the attained minimum by more than its print rounding
         assert want <= est.value + 1e-8
         # and the two independent searches land on the same minimum

@@ -50,3 +50,25 @@ def test_time_verify_suites_writes_its_record(tmp_path):
     assert all(r["calls"] == 1 and 0.0 < r["min_s"] <= r["median_s"] for r in rows)
     peaks = [r["peak_rss_mb"] for r in rows]
     assert peaks == sorted(peaks) and peaks[0] > 0.0
+
+
+def test_time_planar_bands_writes_its_record(tmp_path):
+    # twelve bands at the default grid, once each: well under a second
+    out = tmp_path / "BENCH_planar_bands.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "time_planar_bands.py"),
+         "--m", "4", "--repeats", "1", "--out", str(out)],
+        cwd=ROOT, env=dict(os.environ), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text(encoding="utf-8"))
+    env = record["environment"]
+    assert env["cpu_count"] >= 1 and env["blas"] and env["blas_threads"] in (1, None)
+    rows = record["results"]
+    assert [(r["field"], r["p"], r["kind"]) for r in rows] == [
+        (field, p, kind) for field in ("real", "complex") for p in (1, 2) for kind in "LMU"
+    ]
+    for r in rows:
+        assert r["m"] == 4 and 0.0 < r["min_s"] <= r["median_s"]
+        assert r["stop"] in ("gap", "level cap", "max_cells") and r["evaluations"] > 0
+        assert r["band"][0] <= r["band"][1] and r["contains_exact"]
