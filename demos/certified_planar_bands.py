@@ -1,14 +1,14 @@
 """Certified bands at d = 2: the grid oracle brackets the exact solver.
 
 For planar matrices the trigonometric reformulation of both extremal
-problems lets a refined grid search certify an interval that provably
-contains each true constant.  This script draws one random complex 2-column
-matrix, runs the solver (exact at d = 2: vertex enumeration for L and M at
-p = 1, eigen-solves for the rest) and the certified oracle side by side,
-and prints where each solver value lands inside its band, how the band's
-branch and bound ended (its stop reason and the cells it evaluated), and the
-orthogonality gap that opens between the restricted and unrestricted lower
-constants.
+problems lets a branch and bound, started from the whole parameter box,
+certify an interval that provably contains each true constant.  This script
+draws one random complex 2-column matrix, runs the solver (exact at d = 2:
+vertex enumeration for L and M at p = 1, eigen-solves for the rest) and the
+certified oracle side by side, and prints where each solver value lands
+inside its band, how the band's branch and bound ended (its stop reason and
+the cells it evaluated), and the orthogonality gap that opens between the
+restricted and unrestricted lower constants.
 
 Run:  python3 demos/certified_planar_bands.py [--m 7] [--seed 11]
 """
@@ -17,7 +17,7 @@ import argparse
 
 from prcond.core import Constraint, Field, RngSpec, sample_gaussian
 from prcond.lipschitz import lower_lipschitz, orthogonal_lower_bound, upper_lipschitz
-from prcond.oracle import GridSpec, grid_lower_l, grid_upper_u
+from prcond.oracle import grid_lower_l, grid_upper_u
 
 
 def show(name: str, value: float, band) -> None:
@@ -35,21 +35,20 @@ def main() -> None:
     args = ap.parse_args()
 
     A = sample_gaussian(Field.COMPLEX, args.m, 2, RngSpec(args.seed, 0))
-    grid = GridSpec()
 
     print(f"random complex {args.m} x 2 matrix, seed {args.seed}")
     for p in (1, 2):
         print(f"p = {p}:")
         low = lower_lipschitz(A, p)
-        glow = grid_lower_l(A, p, grid=grid)
+        glow = grid_lower_l(A, p)
         show("lower L (solver)", low.value, glow)
 
         orth = orthogonal_lower_bound(A, p)
-        gorth = grid_lower_l(A, p, constraint=Constraint.ORTHOGONAL, grid=grid)
+        gorth = grid_lower_l(A, p, constraint=Constraint.ORTHOGONAL)
         show("orthogonal M (solver)", orth.value, gorth)
 
         up = upper_lipschitz(A, p)
-        gup = grid_upper_u(A, p, grid=grid)
+        gup = grid_upper_u(A, p)
         show("upper U (solver)", up.value, gup)
 
         gap = orth.value - low.value

@@ -132,13 +132,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     A = _input_matrix(args)
-    if A.d != 2:
-        raise ValueError(f"the certified oracle needs d=2 input, got d={A.d}")
-    grid = (oracle_mod.GridSpec() if args.grid_resolution is None
-            else oracle_mod.GridSpec(resolution=args.grid_resolution))
-    low = oracle_mod.grid_lower_l(A, args.p, Constraint.REAL_INNER, grid)
-    orth = oracle_mod.grid_lower_l(A, args.p, Constraint.ORTHOGONAL, grid)
-    high = oracle_mod.grid_upper_u(A, args.p, grid)
+    low = oracle_mod.grid_lower_l(A, args.p, Constraint.REAL_INNER)
+    orth = oracle_mod.grid_lower_l(A, args.p, Constraint.ORTHOGONAL)
+    high = oracle_mod.grid_upper_u(A, args.p)
     l_lo, l_hi = low.certified_band
     u_lo, u_hi = high.certified_band
     beta_band = [u_lo / l_hi, (u_hi / l_lo) if l_lo > 0 else None]
@@ -147,7 +143,7 @@ def _cmd_oracle(args) -> int:
         "field": A.field.value,
         "m": A.m,
         "d": A.d,
-        "grid": asdict(grid),
+        "grid": asdict(oracle_mod.GridSpec()),
         "lower": estimate_to_json_dict(low, A.field),
         "orthogonal": estimate_to_json_dict(orth, A.field),
         "upper": estimate_to_json_dict(high, A.field),
@@ -244,12 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(sp, "text", "csv")
     sp.set_defaults(handler=_cmd_bounds)
 
-    sp = sub.add_parser("oracle", help="certified planar bands at d=2")
+    sp = sub.add_parser("oracle", help="certified planar bands at d=2, by branch and bound"
+                        " from the whole parameter box at the default GridSpec")
     add_p_field(sp)
     add_m(sp, "harmonic frame size, instead of --matrix")
     add_matrix(sp)
-    sp.add_argument("--grid-resolution", type=int, dest="grid_resolution",
-                    help="oracle axis budget (default 2048)")
     add_output(sp, "json")
     sp.set_defaults(handler=_cmd_oracle)
 

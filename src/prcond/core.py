@@ -281,13 +281,16 @@ def _gaussian_array(field: Field, m: int, d: int, g: np.random.Generator) -> np.
 
     It reads g in one fixed order: an (m, d) block of normals over the
     reals; over the complex field a block for the real parts, then one for
-    the imaginary parts, scaled together by 1/sqrt(2).
+    the imaginary parts, both written into one complex array, which is
+    then scaled in place by 1/sqrt(2).
     """
     if field is Field.REAL:
         return g.standard_normal((m, d))
-    re = g.standard_normal((m, d))
-    im = g.standard_normal((m, d))
-    return (re + 1j * im) / math.sqrt(2.0)
+    z = np.empty((m, d), dtype=np.complex128)
+    z.real = g.standard_normal((m, d))
+    z.imag = g.standard_normal((m, d))
+    z /= math.sqrt(2.0)
+    return z
 
 
 def sample_unit(field: Field, d: int, rng: RngSpec | np.random.Generator, n: int | None = None) -> np.ndarray:

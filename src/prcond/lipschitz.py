@@ -150,12 +150,13 @@ class BandRecord:
 
     `stop` is "gap" when the band closed to its relative gap (a frontier
     with no floor below the incumbent has a gap of 0), "level cap" when
-    the search used all `GridSpec.max_levels` levels and "max_cells" when
-    splitting the frontier would have passed `GridSpec.max_cells`; the last
-    two mean the search budget, not the gap, set the band's width.
-    `evaluations` counts the cells evaluated, the initial grid included,
-    `levels` the subdivision levels after it, and `largest_frontier` the
-    most cells evaluated at once.
+    the search used all `GridSpec.max_levels` levels or reached the float
+    resolution of a cell's centre, and "max_cells" when splitting the
+    frontier would have passed `GridSpec.max_cells`; the last two mean the
+    search budget, not the gap, set the band's width.
+    `evaluations` counts the cells evaluated, the whole box, where the
+    search starts, included; `levels` counts the subdivision levels after
+    it, and `largest_frontier` the most cells evaluated at once.
     """
 
     stop: str
@@ -919,8 +920,8 @@ def _newton_runs(blocks, products, X, field: Field, orthogonal: bool, width=None
         done = live[ended]
         stop[done] = np.where(passed[ended], 1, 2)
         if smooth:
-            # the pass is over: sum_j |c_j|, and the smoothing gap it leaves
-            c, square = np.abs(_pair_terms(blocks, X[done])), (width[done] ** 2)[:, None]
+            # the pass is over: sum_j |c_j|, from the images, and the smoothing gap it leaves
+            c, square = np.abs(np.add.reduce(Y[ended, 0] * Y[ended, 1], 1)), (width[done] ** 2)[:, None]
             value[done] = np.sum(c, axis=1)
             passes[done] += 1
             narrow = np.sum(square / (np.sqrt(c * c + square) + c), axis=1) > _GAP_TOL * (1.0 + value[done])

@@ -77,39 +77,30 @@ __all__ = [
 class GridSpec:
     """Search-effort contract for the certified planar oracle.
 
-    `resolution` is the point budget per angle axis of the initial sweep
-    (split across axes in higher-dimensional parameterizations);
-    `halvings` is how many times subdivision may halve each axis, so the
-    search runs at most ndim * halvings levels; `max_cells` caps the cells
-    one level may evaluate, so degenerate flat valleys terminate with an
-    honestly wider band instead of running forever.  Each grid estimate's
-    `convergence` is a `BandRecord` that says which of these ended its
-    search.  On the 400 bands of acceptance criterion 7 at the defaults,
-    247 searches end on the gap test (every U band and 47 of the 100 p=2
-    L bands) and 153 at the level cap (the 100 p=1 L bands, whose per-term
-    floors leave the width to this budget, and 53 p=2 L bands), none at
+    The branch and bound starts from one cell, the whole box.  `max_levels`
+    is how many halvings a cell may take from the box, over all its axes:
+    the default 54 is 18 per axis on the three-axis complex L slice.  The
+    search also stops once a cell nears the float resolution of the box,
+    which a one-axis slice can reach before 54 halvings.
+    `max_cells` caps the cells one level may evaluate, so degenerate flat
+    valleys terminate with an honestly wider band instead of running
+    forever.  Each grid estimate's `convergence` is a `BandRecord` that says
+    which of these ended its search.  On the 400 bands of acceptance
+    criterion 7 at the defaults, 259 searches end on the gap test (every U
+    band, and 59 of the 100 p=2 L bands: all 50 real ones and 9 complex)
+    and 141 at the level cap (the 100 p=1 L bands, whose per-term floors
+    leave the width to this budget, and 41 complex p=2 L bands), none at
     `max_cells`.
     """
 
-    resolution: int = 2048
-    halvings: int = 13
+    max_levels: int = 54
     max_cells: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.resolution < 16:
-            raise ValueError("resolution must be at least 16")
-        if self.halvings < 1:
-            raise ValueError("halvings must be at least 1")
+        if self.max_levels < 1:
+            raise ValueError("max_levels must be at least 1")
         if self.max_cells < 64:
             raise ValueError("max_cells must be at least 64")
-
-    def axis_points(self, ndim: int) -> int:
-        if ndim <= 1:
-            return self.resolution
-        return max(16, 2 * math.ceil(self.resolution ** (1.0 / ndim)))
-
-    def max_levels(self, ndim: int) -> int:
-        return ndim * self.halvings
 
 
 @dataclass(frozen=True)
@@ -142,6 +133,8 @@ class _BandResult:
 # megabyte whatever the frontier.
 _CHUNK = 8192
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def _evaluate(evaluate, cent, half):
     """Least centre value and its column, then the floors and split axes.
@@ -157,7 +150,14 @@ def _evaluate(evaluate, cent, half):
     for start in range(0, n, _CHUNK):
         cols = slice(start, start + _CHUNK)
         vals, floors[cols], eff = evaluate(cent[:, cols], half[:, cols])
-        axis[cols] = eff.argmax(axis=0)
+        # eff.argmax(axis=0) a row at a time, twice as fast on these short
+        # columns; the strict > keeps the first widest axis, as argmax does
+        split = axis[cols]
+        split[:] = 0
+        top = eff[0].copy()
+        for a in range(1, len(eff)):
+            split[eff[a] > top] = a
+            np.maximum(top, eff[a], out=top)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best, at = float(vals[i]), start + i
@@ -172,66 +172,71 @@ def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
     `(vals, floors, eff)`: center values, certified per-cell lower bounds,
     and effective per-axis widths (k, n) that steer the split choice.
     Returns floor <= min F <= best, where best is attained at `arg`, and a
-    `BandRecord` of how the search ended.  A cell is dropped once its floor
+    `BandRecord` of how the search ended.  The search starts from one
+    cell, the box itself (Land & Doig, Econometrica 1960; Horst & Tuy,
+    Global Optimization, Springer 1996).  A cell is dropped once its floor
     cannot beat the incumbent; dropped cells stay above the final
     incumbent, so the reported floor bounds the global minimum over the
     whole box.  Each level compacts the frontier to the cells whose floor
     is below the incumbent and splits each along its widest effective axis
     into two children, all minus children first, then all plus children.
+    The children cover their parent in exact arithmetic, whatever the
+    rounding of their centres, and the search ends at the level cap once
+    `spec.max_levels` is reached or a cell nears the float resolution of
+    the box.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     k = lo.size
-
-    npts = spec.axis_points(k)
-    axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(npts) + 0.5) / npts for j in range(k)]
-    cent = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    half = np.repeat(((hi - lo) / (2.0 * npts))[:, None], cent.shape[1], axis=1)
-
-    best, i, floors, axis = _evaluate(evaluate, cent, half)
-    evals = largest = cent.shape[1]
-    arg = cent[:, i].copy()
-    floor = float(min(floors.min(), best))
-
-    levels = 0
+    cent = ((lo + hi) / 2.0)[:, None]
+    half = ((hi - lo) / 2.0)[:, None]
+    # a rounded child centre c -/+ h/2 is off by at most half its float
+    # spacing, at most eps B / 2 in a box whose edges are at most B in size;
+    # pad = 2 eps B on the child's half-width keeps the two children
+    # covering their parent.  A cell within 16 pads of a point barely
+    # shrinks when split, so that ends the search as well
+    pad = 2.0 * _EPS * float(np.abs(np.concatenate([lo, hi])).max())
+    best, arg, evals, largest, levels = math.inf, cent[:, 0], 0, 0, 0
     while True:
-        if best - floor <= max(1e-13 * (1.0 + abs(best)), 1e-9 * abs(best)):
-            stop = "gap"
-            break
-        if levels == spec.max_levels(k):
-            stop = "level cap"
-            break
-        # past the gap test floor < best, so some cell's floor is below best
-        idx = np.flatnonzero(floors < best)
-        if 2 * idx.size > spec.max_cells:
-            stop = "max_cells"
-            break
-        # split each kept cell on its split axis (a one-hot mask): the
-        # half-width there halves exactly, h - h/2 == h/2, and the children
-        # sit at c -/+ h/2; the parent level's arrays go as soon as they are
-        # used, so that a band's peak memory is one level's cells
-        n = idx.size
-        widest = np.arange(k)[:, None] == axis.take(idx)
-        del floors, axis
-        half = half.take(idx, axis=1)
-        step = half * widest
-        step *= 0.5
-        half -= step
-        cent = cent.take(idx, axis=1)
-        children = np.empty((k, 2 * n))
-        np.subtract(cent, step, out=children[:, :n])
-        np.add(cent, step, out=children[:, n:])
-        del step, widest
-        cent = children
-        half = np.concatenate([half, half], axis=1)
         least, i, floors, axis = _evaluate(evaluate, cent, half)
-        evals += 2 * n
-        largest = max(largest, 2 * n)
-        levels += 1
+        evals += cent.shape[1]
+        largest = max(largest, cent.shape[1])
         if least < best:
             best = least
             arg = cent[:, i].copy()
         floor = float(min(floors.min(), best))
+        if best - floor <= max(1e-13 * (1.0 + abs(best)), 1e-9 * abs(best)):
+            stop = "gap"
+            break
+        # past the gap test floor < best, so some cell's floor is below best
+        idx = np.flatnonzero(floors < best)
+        n = idx.size
+        widest = np.arange(k)[:, None] == axis.take(idx)
+        del floors, axis
+        cent = cent.take(idx, axis=1)
+        half = half.take(idx, axis=1)
+        if levels == spec.max_levels or half.min() < 16.0 * pad:
+            stop = "level cap"
+            break
+        if 2 * n > spec.max_cells:
+            stop = "max_cells"
+            break
+        # split each kept cell on its split axis (a one-hot mask) into
+        # children at c -/+ h/2, with half-width h/2 + pad there, all minus
+        # children first; the parent level's arrays go as soon as they are
+        # used, so that a band's peak memory is one level's cells
+        step = half * widest
+        step *= 0.5
+        half -= step
+        half += pad * widest
+        del widest
+        children = np.empty((k, 2 * n))
+        np.subtract(cent, step, out=children[:, :n])
+        np.add(cent, step, out=children[:, n:])
+        del step
+        cent = children
+        half = np.concatenate([half, half], axis=1)
+        levels += 1
 
     return _BandResult(floor, best, arg, BandRecord(stop, evals, levels, largest))
 
@@ -416,7 +421,7 @@ def _planar_band(A: SensingMatrix, p: int, r: float | None, grid: GridSpec | Non
     Returns the band result and the optimal point (r, y), y on S^2.
     """
     if A.d != 2:
-        raise ValueError(f"the grid oracle parameterization needs d=2, got d={A.d}")
+        raise ValueError(f"the certified oracle needs d=2 input, got d={A.d}")
     evaluate, param, lo, hi = _planar_problem(A, p, r)
     res = _branch_bound(evaluate, lo, hi, grid or GridSpec())
     rs, Y, _ = param(res.arg[:, None])
@@ -641,6 +646,11 @@ def mc_expectation(
     return _mc_estimates(field, (theta,), samples, rng)[0]
 
 
+# Rows per product conj(a_0) a_1 of the complex draw, so that no complex
+# column of it is copied whole.
+_MC_ROWS = 1 << 16
+
+
 def _mc_estimates(
     field: Field, thetas, samples: int, rng: RngSpec | np.random.Generator
 ) -> list[McEstimate]:
@@ -650,10 +660,12 @@ def _mc_estimates(
     numbers (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
     sec. 4.2).  The draw reads rng exactly as `sample_gaussian` does.  The
     angle-free terms are formed once (a_0 and a_1 over the reals, |a_0|^2
-    and Re(a_0 conj(a_1)) over the complex field), and the complex draw is
-    freed before the angle loop.  Each angle repeats the one-angle
-    arithmetic operation for operation, so every estimate is bit-identical
-    to a draw of its own from the same generator state.
+    and Re(a_0 conj(a_1)) over the complex field, the latter _MC_ROWS rows
+    at a time), and the complex draw is freed before the angle loop, so
+    the complex field holds at most the draw and two real columns.  Each
+    angle repeats the one-angle arithmetic operation for operation, so
+    every estimate is bit-identical to a draw of its own from the same
+    generator state.
     """
     samples = int(samples)
     if samples < 1000:
@@ -666,12 +678,15 @@ def _mc_estimates(
     if field is Field.REAL:
         first, second = z[:, 0], z[:, 1]
     else:
-        a0 = np.conj(z[:, 0])
-        first = np.abs(a0)
+        first = np.abs(z[:, 0])
         first **= 2
-        a0 *= z[:, 1]
-        second = a0.real.copy()
-        del z, a0
+        second = np.empty(samples)
+        for start in range(0, samples, _MC_ROWS):
+            rows = slice(start, start + _MC_ROWS)
+            a0 = np.conj(z[rows, 0])
+            a0 *= z[rows, 1]
+            second[rows] = a0.real
+        del z
     vals = np.empty(samples)
     term = np.empty(samples)
     out = []

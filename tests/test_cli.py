@@ -8,7 +8,15 @@ import pytest
 
 from prcond.cli import main
 from prcond.closedform import harmonic_constants
-from prcond.core import Field, RngSpec, harmonic_frame, matrix_to_dict, save_matrix, sample_gaussian
+from prcond.core import (
+    Field,
+    RngSpec,
+    SensingMatrix,
+    harmonic_frame,
+    matrix_to_dict,
+    save_matrix,
+    sample_gaussian,
+)
 
 
 def run_cli(capsys, *argv):
@@ -213,9 +221,7 @@ def test_bounds_rejects_tiny_m(capsys):
 # ---------------------------------------------------------------------------
 
 def test_oracle_bands_bracket_harmonic_constants(capsys):
-    code, out, _ = run_cli(
-        capsys, "oracle", "--m", "5", "--p", "1", "--grid-resolution", "256"
-    )
+    code, out, _ = run_cli(capsys, "oracle", "--m", "5", "--p", "1")
     assert code == 0
     payload = json.loads(out)
     h = harmonic_constants(5, 1)
@@ -225,15 +231,20 @@ def test_oracle_bands_bracket_harmonic_constants(capsys):
     assert up_band[0] - 1e-12 <= h.U <= up_band[1]
     beta_lo, beta_hi = payload["beta_band"]
     assert beta_lo <= h.beta <= beta_hi
-    assert payload["grid"] == {"resolution": 256, "halvings": 13, "max_cells": 200_000}
+    assert payload["grid"] == {"max_levels": 54, "max_cells": 200_000}
     assert payload["orthogonal"]["kind"] == "OrthogonalM"
 
 
-def test_oracle_rejects_zero_grid_resolution(capsys):
-    code, out, err = run_cli(capsys, "oracle", "--m", "5", "--grid-resolution", "0")
-    assert code == 2
-    assert out == ""
-    assert "resolution" in err
+def test_oracle_gives_no_beta_ceiling_for_a_non_injective_matrix(capsys, tmp_path):
+    # the real identity does not do phase retrieval: L = 0 at p=1, so the
+    # lower band reaches 0 and beta has no certified ceiling
+    path = tmp_path / "identity.json"
+    save_matrix(SensingMatrix(Field.REAL, np.eye(2)), path)
+    code, out, _ = run_cli(capsys, "oracle", "--matrix", str(path), "--p", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lower"]["certified_band"][0] <= 0.0
+    assert payload["beta_band"][1] is None
 
 
 def test_oracle_requires_planar_input(capsys, tmp_path):

@@ -194,6 +194,23 @@ def test_gaussian_sampler_field_and_shape():
     assert B.array.dtype == np.complex128
 
 
+def _one_formula_complex_draw(spec, m, d):
+    """The complex draw as one expression: the reference for the in-place draw."""
+    g = spec.generator()
+    re = g.standard_normal((m, d))
+    im = g.standard_normal((m, d))
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (7, 2), (300, 4), (1000, 3)])
+def test_complex_gaussian_draw_is_the_one_formula_byte_for_byte(m, d):
+    # both normal blocks go into one complex array, scaled in place
+    for seed in range(5):
+        spec = RngSpec(seed, m)
+        A = sample_gaussian(Field.COMPLEX, m, d, spec)
+        assert A.array.tobytes() == _one_formula_complex_draw(spec, m, d).tobytes()
+
+
 def test_complex_gaussian_entries_have_unit_second_moment():
     A = sample_gaussian(Field.COMPLEX, 400, 50, RngSpec(2024, 9))
     second = np.mean(np.abs(A.array) ** 2)

@@ -181,7 +181,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     assert prcond.cli.main(["beta", "--m", "7", "--p", "1"]) == 0
     # widened to complex the harmonic frame loses injectivity: exit 3
     assert prcond.cli.main(["beta", "--m", "7", "--p", "1", "--field", "complex"]) == 3
-    assert prcond.cli.main(["oracle", "--m", "5", "--p", "1", "--grid-resolution", "64"]) == 0
+    assert prcond.cli.main(["oracle", "--m", "5", "--p", "1"]) == 0
 assert verify_all(metric_pairs=100, lagrange_draws=20, gk_grid_points=3, gmin_instances=2,
                   subtan_instances=40, mc_samples=5_000).passed
 print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from prcond.oracle import (
 )
 from prcond.planar import _bloch_rows
 
-FAST_GRID = GridSpec(resolution=256, halvings=9, max_cells=40_000)
+FAST_GRID = GridSpec(max_levels=45, max_cells=40_000)
 
 
 # ---------------------------------------------------------------------------
@@ -51,20 +52,12 @@ FAST_GRID = GridSpec(resolution=256, halvings=9, max_cells=40_000)
 # ---------------------------------------------------------------------------
 
 def test_grid_spec_validates_inputs():
-    with pytest.raises(ValueError):
-        GridSpec(resolution=8)
-    with pytest.raises(ValueError):
-        GridSpec(halvings=0)
-    with pytest.raises(ValueError):
-        GridSpec(max_cells=10)
-
-
-def test_grid_spec_splits_budget_across_axes():
-    g = GridSpec(resolution=2048)
-    assert g.axis_points(1) == 2048
-    assert g.axis_points(2) == 2 * math.ceil(2048 ** 0.5)
-    assert g.axis_points(3) >= 16
-    assert [g.max_levels(k) for k in (1, 2, 3)] == [13, 26, 39]
+    assert GridSpec() == GridSpec(max_levels=54, max_cells=200_000)
+    GridSpec(max_levels=1, max_cells=64)
+    with pytest.raises(ValueError, match="max_levels"):
+        GridSpec(max_levels=0)
+    with pytest.raises(ValueError, match="max_cells"):
+        GridSpec(max_cells=63)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +153,20 @@ def test_oracle_bands_are_invariant_to_the_matrix_scale():
         assert got[1] / c ** 2 == pytest.approx(base[1], rel=1e-9)
 
 
+@pytest.mark.parametrize("m", range(3, 13))
+def test_flat_upper_band_closes_on_its_first_cell(m):
+    # U at p=1 of a harmonic frame is flat: every unit vector attains it.
+    # The search closes on the box itself, so its witness is the box centre
+    # whatever the order of the rows
+    A = harmonic_frame(m)
+    est = grid_upper_u(A, 1)
+    rev = grid_upper_u(SensingMatrix(Field.REAL, A.array[::-1]), 1)
+    assert est.convergence == rev.convergence == BandRecord("gap", 1, 0, 1)
+    assert est.witness.tobytes() == rev.witness.tobytes()
+    lo, hi = est.certified_band
+    assert lo - 1e-12 <= harmonic_constants(m, 1).U <= hi + 1e-12
+
+
 def test_oracle_requires_planar_input():
     A = sample_gaussian(Field.REAL, 5, 3, RngSpec(1, 0))
     with pytest.raises(ValueError):
@@ -178,35 +185,62 @@ def test_oracle_requires_planar_input():
 # ---------------------------------------------------------------------------
 
 def _three_bands(A, p, grid):
-    """L, M and U of a planar matrix at one p, each with its number of box axes."""
-    angles = 1 if A.field is Field.REAL else 2
+    """L, M and U of a planar matrix at one p."""
     return (
-        (grid_lower_l(A, p, Constraint.REAL_INNER, grid), angles + 1),
-        (grid_lower_l(A, p, Constraint.ORTHOGONAL, grid), angles),
-        (grid_upper_u(A, p, grid), angles),
+        grid_lower_l(A, p, Constraint.REAL_INNER, grid),
+        grid_lower_l(A, p, Constraint.ORTHOGONAL, grid),
+        grid_upper_u(A, p, grid),
     )
 
 
 def test_branch_bound_records_gap_and_level_cap_stops():
-    spec = GridSpec(resolution=16, halvings=5)
+    spec = GridSpec(max_levels=5)
 
+    # the search starts from the box itself, and a flat function closes
+    # on its first cell
     def flat(cent, half):
         one = np.ones(cent.shape[1])
         return one, one, half
 
     res = oracle._branch_bound(flat, [0.0], [1.0], spec)
-    assert res.record == BandRecord("gap", 16, 0, 16)
+    assert res.record == BandRecord("gap", 1, 0, 1)
     assert res.floor == res.best == 1.0
+    assert res.arg.tolist() == [0.5]
 
     # F(x) = x with exact cell floors: only the cell at 0 stays live, and
-    # each level splits it in two until the level cap
+    # each level splits it in two until the level cap.  The children's
+    # half-widths carry a pad of 2 eps (the box edges are at most 1 in
+    # size), so the floor sits a few eps below 0
     def line(cent, half):
         return cent[0], cent[0] - half[0], half
 
     res = oracle._branch_bound(line, [0.0], [1.0], spec)
-    assert res.record == BandRecord("level cap", 16 + 2 * 5, 5, 16)
-    assert res.floor == 0.0
-    assert res.best == 2.0 ** -10
+    assert res.record == BandRecord("level cap", 1 + 2 * 5, 5, 2)
+    assert -1e-14 < res.floor <= 0.0
+    assert res.best == pytest.approx(2.0 ** -6, rel=1e-13)
+
+
+@pytest.mark.parametrize("target", [np.pi / 2, 3.0, 4.0 * np.pi / 3, 3.0 * np.pi / 2, 5.5, 2.0 * np.pi - 1e-3])
+def test_branch_bound_stops_at_the_float_resolution_with_the_minimum_covered(target):
+    # one axis, theta in [0, 2 pi], and floors that never close on the gap:
+    # a cell near the target keeps a floor 1 below its value.  Halving down
+    # to the level budget would pass the float spacing of theta, so the
+    # search ends at the float resolution instead, and the cells of its
+    # last level still cover the target in exact arithmetic
+    last = []
+
+    def slope(cent, half):
+        dist = np.abs(cent[0] - target)
+        floors = dist - 2.0 * half[0]
+        floors[dist <= 2.0 * half[0]] -= 1.0
+        last[:] = [cent[0].copy(), half[0].copy()]
+        return dist, floors, half
+
+    res = oracle._branch_bound(slope, [0.0], [2.0 * np.pi], GridSpec(max_levels=200, max_cells=64))
+    assert res.record.stop == "level cap"
+    assert 40 < res.record.levels < 54
+    assert any(Fraction(float(c)) - Fraction(float(h)) <= Fraction(target)
+               <= Fraction(float(c)) + Fraction(float(h)) for c, h in zip(*last))
 
 
 @pytest.mark.parametrize("field,p,r", [
@@ -214,7 +248,8 @@ def test_branch_bound_records_gap_and_level_cap_stops():
 ])
 def test_bands_do_not_depend_on_the_evaluation_chunk(field, p, r, monkeypatch):
     # the branch and bound evaluates its cells a chunk at a time, so that
-    # its memory is the frontier's; the chunk size must not change the band
+    # its memory is the frontier's; the chunk size must not change the band.
+    # Every frontier here passes 13 cells, so some level takes several calls
     A = sample_gaussian(field, 9, 2, RngSpec(1414, 9))
     whole = oracle._planar_band(A, p, r, FAST_GRID)
     seen = []
@@ -230,26 +265,27 @@ def test_bands_do_not_depend_on_the_evaluation_chunk(field, p, r, monkeypatch):
         return (counted, *rest)
 
     monkeypatch.setattr(oracle, "_planar_problem", recording)
-    monkeypatch.setattr(oracle, "_CHUNK", 97)
+    monkeypatch.setattr(oracle, "_CHUNK", 13)
     (res, rs, y), (ref, ref_rs, ref_y) = oracle._planar_band(A, p, r, FAST_GRID), whole
-    assert max(seen) == 97 and sum(seen) == res.record.evaluations
+    assert max(seen) == 13 and sum(seen) == res.record.evaluations
+    assert len(seen) > res.record.levels + 1
     assert (res.floor, res.best, res.record, rs) == (ref.floor, ref.best, ref.record, ref_rs)
     assert res.arg.tobytes() == ref.arg.tobytes() and y.tobytes() == ref_y.tobytes()
 
 
 def test_band_record_reports_a_max_cells_stop():
-    # after the initial sweep more than 32 cells stay live on the p=1 L and
-    # M slices and on p=2 L, so they stop at level 0; the centred floors of
-    # the smooth M and U slices prune enough to close on the gap
+    # from the whole box, the first six levels keep every cell of the L and
+    # M slices live, so those searches stop where level 7 would split 64
+    # cells into 128; the U frontiers stay within 64 cells and close on the
+    # gap
     A = sample_gaussian(Field.COMPLEX, 6, 2, RngSpec(5, 6))
     for p in (1, 2):
-        (low, _), (orth, _), (up, _) = _three_bands(A, p, GridSpec(max_cells=64))
-        for est in (low, orth) if p == 1 else (low,):
-            assert est.convergence.stop == "max_cells"
-            assert est.convergence.levels == 0
-        for est in (up,) if p == 1 else (orth, up):
-            assert est.convergence.stop == "gap"
-            assert est.convergence.largest_frontier <= est.convergence.evaluations
+        low, orth, up = _three_bands(A, p, GridSpec(max_cells=64))
+        for est in (low, orth):
+            assert est.convergence == BandRecord("max_cells", 127, 6, 64)
+            assert est.certified_band[0] == 0.0
+        assert up.convergence.stop == "gap"
+        assert up.convergence.largest_frontier <= 64
 
 
 def _slice_by_terms(A, p, r, Z):
@@ -310,12 +346,13 @@ def test_centred_floors_bound_the_slice_on_each_cell(field, p, r):
 def test_band_record_stays_within_the_grid_budget(field):
     A = sample_gaussian(field, 6, 2, RngSpec(5, 6))
     for p in (1, 2):
-        for est, k in _three_bands(A, p, FAST_GRID):
+        for est in _three_bands(A, p, FAST_GRID):
             rec = est.convergence
             assert isinstance(rec, BandRecord)
             assert rec.stop in ("gap", "level cap", "max_cells")
-            assert rec.evaluations >= FAST_GRID.axis_points(k) ** k
-            assert rec.levels <= FAST_GRID.max_levels(k)
+            # one cell for the box, then at least two a level
+            assert 1 + 2 * rec.levels <= rec.evaluations
+            assert rec.levels <= FAST_GRID.max_levels
             assert rec.largest_frontier <= rec.evaluations
             assert rec.stop == "max_cells" or rec.largest_frontier <= FAST_GRID.max_cells
 
@@ -327,15 +364,14 @@ def test_band_record_stays_out_of_the_json():
     }
 
 
-# Bands at FAST_GRID of the branch and bound that stored cells as rows, on
-# the draws sample_gaussian(field, m, 2, RngSpec(1414, m)).  With cells as
-# columns it evaluates the same cells in the same order, so the evaluation
-# counts agree exactly and the band edges up to rounding: the sums over the
-# m terms now run in the order of a matrix-vector product, and numpy's row
-# sums changed their order at m = 9.  Only the p=1 L and M rows still use
-# the per-term floor; the smooth slices (every slice at p=2, U at p=1) have
-# centred floors, and their rows are now upper bounds on the work and the
-# width of a band that must still contain the closed-form constant.
+# Bands of the branch and bound that stored cells as rows, on the draws
+# sample_gaussian(field, m, 2, RngSpec(1414, m)), at a FAST_GRID that swept
+# an initial grid of 256 points, split across the box axes, and then halved
+# each axis at most 9 times.  Each row bounds the width and the certified
+# edge of a band that must still contain the closed-form constant.  On the
+# smooth slices (every slice at p=2, U at p=1) it bounds the work too; the
+# p=1 L and M slices keep the per-term floor, whose width the level budget
+# sets, and they now go deeper, past the old evaluation counts.
 _ROW_LAYOUT_BANDS = (
     ("real", 4, 1, "L", 1538, 1.3319895452167505, 1.3322507835477673),
     ("real", 4, 1, "M", 352, 1.7098377175634112, 1.7099072977046375),
@@ -390,22 +426,18 @@ def test_bands_match_the_row_layout(field, m, p, name, evaluations, lo, hi):
         constraint = Constraint.REAL_INNER if name == "L" else Constraint.ORTHOGONAL
         est = grid_lower_l(A, p, constraint, FAST_GRID)
     band = est.certified_band
-    if p == 1 and name != "U":
-        assert est.convergence.evaluations == evaluations
-        assert band[0] == pytest.approx(lo, rel=1e-14, abs=0.0)
-        assert band[1] == pytest.approx(hi, rel=1e-14, abs=0.0)
-        return
     exact = {"L": lower_lipschitz, "M": orthogonal_lower_bound, "U": upper_lipschitz}[name](A, p)
     assert exact.method is Method.CLOSED_FORM
     tol = 1e-12 * exact.value
     assert band[0] - tol <= exact.value <= band[1] + tol
-    # the certified edge is no looser, the band no wider, the work no larger
+    # the certified edge is no looser, the band no wider
     if name == "U":
         assert band[1] <= hi
     else:
         assert band[0] >= lo
     assert band[1] - band[0] <= hi - lo
-    assert est.convergence.evaluations <= evaluations
+    if p == 2 or name == "U":
+        assert est.convergence.evaluations <= evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +780,24 @@ def test_mc_expectation_is_the_formula_on_sample_gaussian_bit_for_bit(field):
                 got = mc_expectation(field, theta, samples, spec)
                 assert got.estimate == float(vals.mean())
                 assert got.stderr == float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("samples, rows", [(1000, 1 << 16), (40_000, 1 << 16), (40_000, 999)])
+def test_mc_expectation_is_the_formula_on_the_one_expression_draw_bit_for_bit(
+    samples, rows, monkeypatch
+):
+    # the reference is the complex draw as one expression; the products of
+    # its columns go rows at a time, in one block or several
+    monkeypatch.setattr(oracle, "_MC_ROWS", rows)
+    spec = RngSpec(1212, 3)
+    g = spec.generator()
+    re, im = g.standard_normal((samples, 2)), g.standard_normal((samples, 2))
+    A = SensingMatrix(Field.COMPLEX, (re + 1j * im) / math.sqrt(2.0))
+    for theta in (0.0, math.pi / 8, 1.0, math.pi / 2, 2.5):
+        vals = _mc_terms(A, theta)
+        got = mc_expectation(Field.COMPLEX, theta, samples, spec)
+        assert got.estimate == float(vals.mean())
+        assert got.stderr == float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,39 @@ def test_p1_lower_reaches_the_band_where_the_search_stopped_above_it():
     _assert_in_bands(A, 1)
 
 
+def _band_cases():
+    """Harmonic frames, real and widened to complex, and degenerate inputs, by name."""
+    cases = {}
+    for m in range(3, 13):
+        cases[f"harmonic-{m}"] = harmonic_frame(m)
+        cases[f"harmonic-{m}-complex"] = _widened(harmonic_frame(m))
+    G = sample_gaussian(Field.REAL, 6, 2, RngSpec(3304, 0))
+    zero_row = G.array.copy()
+    zero_row[2] = 0.0
+    cases["zero-row"] = SensingMatrix(Field.REAL, zero_row)
+    cases["repeated-rows"] = SensingMatrix(Field.REAL, np.vstack([G.array, G.array[:2]]))
+    cases["identity"] = SensingMatrix(Field.REAL, np.eye(2))
+    cases["scaled-1e6"] = G.scaled(1e6)
+    return cases
+
+
+_BAND_CASES = _band_cases()
+
+
+@_both_p("name", list(_BAND_CASES))
+def test_bands_contain_the_exact_constants_of_frames_and_degenerate_inputs(name, p):
+    # the tolerance is relative, so a constant of 0 (the identity's L and
+    # M) must lie in its band exactly
+    A = _BAND_CASES[name]
+    L, M, U = _exact(A, p)
+    bands = (grid_lower_l(A, p, Constraint.REAL_INNER), grid_lower_l(A, p, Constraint.ORTHOGONAL),
+             grid_upper_u(A, p))
+    for exact, band in zip((L, M, U), bands):
+        lo, hi = band.certified_band
+        tol = 1e-12 * exact.value
+        assert lo - tol <= exact.value <= hi + tol
+
+
 @_both_p(
     "A",
     [

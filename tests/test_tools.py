@@ -64,6 +64,7 @@ def test_time_planar_bands_writes_its_record(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
     env = record["environment"]
     assert env["cpu_count"] >= 1 and env["blas"] and env["blas_threads"] in (1, None)
+    assert set(record["settings"]["grid"]) == {"max_levels", "max_cells"}
     rows = record["results"]
     assert [(r["field"], r["p"], r["kind"]) for r in rows] == [
         (field, p, kind) for field in ("real", "complex") for p in (1, 2) for kind in "LMU"

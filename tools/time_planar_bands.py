@@ -25,6 +25,7 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
     record = {
         "tool": "time_planar_bands",
         "environment": environment(),
-        "settings": {"m": args.m, "repeats": args.repeats, "grid": "GridSpec()"},
+        "settings": {"m": args.m, "repeats": args.repeats, "grid": asdict(oracle.GridSpec())},
         "results": rows,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
