@@ -143,7 +143,6 @@ def _cmd_oracle(args) -> int:
         "field": A.field.value,
         "m": A.m,
         "d": A.d,
-        "grid": asdict(oracle_mod.GridSpec()),
         "lower": estimate_to_json_dict(low, A.field),
         "orthogonal": estimate_to_json_dict(orth, A.field),
         "upper": estimate_to_json_dict(high, A.field),
@@ -241,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_bounds)
 
     sp = sub.add_parser("oracle", help="certified planar bands at d=2, by branch and bound"
-                        " from the whole parameter box at the default GridSpec")
+                        " from the whole parameter box")
     add_p_field(sp)
     add_m(sp, "harmonic frame size, instead of --matrix")
     add_matrix(sp)

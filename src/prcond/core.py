@@ -508,10 +508,10 @@ def matrix_from_csv(text: str) -> SensingMatrix:
     return SensingMatrix(Field.REAL, arr)
 
 
-def save_matrix(A: SensingMatrix, path: str | Path, fmt: str | None = None) -> None:
-    """Write a matrix file; format from `fmt` or the path suffix (json/csv)."""
+def save_matrix(A: SensingMatrix, path: str | Path) -> None:
+    """Write a matrix file in the format of the path suffix (json, the default, or csv)."""
     path = Path(path)
-    fmt = (fmt or path.suffix.lstrip(".") or "json").lower()
+    fmt = (path.suffix.lstrip(".") or "json").lower()
     if fmt == "json":
         path.write_text(json.dumps(matrix_to_dict(A), indent=2) + "\n")
     elif fmt == "csv":

@@ -92,12 +92,7 @@ class ExperimentConfig:
             "trials": self.trials,
             "seed": self.rng.seed,
             "stream": self.rng.stream,
-            "optimizer": {
-                "starts": self.optimizer.starts,
-                "max_iters": self.optimizer.max_iters,
-                "subgradient_iters": self.optimizer.subgradient_iters,
-                "polish": self.optimizer.polish,
-            },
+            "optimizer": {"starts": self.optimizer.starts},
         }
 
 
@@ -141,8 +136,8 @@ class SweepResult:
     records: tuple[ExperimentRecord, ...]
     summary: SweepSummary
 
-    def to_json_dict(self, include_records: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "kind": "gaussian-sweep",
             "generator": GENERATOR_NAME,
             "code_version": __version__,
@@ -157,9 +152,6 @@ class SweepResult:
                 "failures": self.summary.failures,
             },
         }
-        if include_records:
-            out["records"] = [list(r.row()) for r in self.records]
-        return out
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> ExperimentRecord:

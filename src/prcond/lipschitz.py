@@ -150,9 +150,9 @@ class BandRecord:
 
     `stop` is "gap" when the band closed to its relative gap (a frontier
     with no floor below the incumbent has a gap of 0), "level cap" when
-    the search used all `GridSpec.max_levels` levels or reached the float
+    the search used all `oracle._MAX_LEVELS` levels or reached the float
     resolution of a cell's centre, and "max_cells" when splitting the
-    frontier would have passed `GridSpec.max_cells`; the last two mean the
+    frontier would have passed `oracle._MAX_CELLS`; the last two mean the
     search budget, not the gap, set the band's width.
     `evaluations` counts the cells evaluated, the whole box, where the
     search starts, included; `levels` counts the subdivision levels after
@@ -199,9 +199,9 @@ class OptimizerConfig:
     p=1 subgradient descent and the simplex polish they set are gone.  The
     fields stay only because the benchmark's workloads build configs with
     `max_iters` and `subgradient_iters` and its tracer reads and replaces
-    `polish`; the first two are still reported in the `beta` JSON.  The
-    search settings are module constants.  At d=2 every constant is solved
-    exactly and no search setting applies.
+    `polish`; no JSON reports them.  The search settings are module
+    constants.  At d=2 every constant is solved exactly and no search
+    setting applies.
     """
 
     starts: int = 64
@@ -267,8 +267,6 @@ class ConditionReport:
             "upper": estimate_to_json_dict(self.upper, self.field),
             "solver": {
                 "starts": self.config.starts,
-                "max_iters": self.config.max_iters,
-                "subgradient_iters": self.config.subgradient_iters,
                 "seed": self.config.rng.seed,
                 "stream": self.config.rng.stream,
                 "generator": GENERATOR_NAME,
@@ -525,10 +523,14 @@ def _images(blocks, X) -> np.ndarray:
     return (X.reshape(-1, n) @ blocks.reshape(k * m, n).T).reshape(-1, 2, k, m)
 
 
+def _terms(Y) -> np.ndarray:
+    """The (runs, m) terms c_j = sum_B (B x_u)_j (B x_v)_j from the images Y of `_images`."""
+    return np.add.reduce(Y[:, 0] * Y[:, 1], 1)
+
+
 def _pair_terms(blocks, X) -> np.ndarray:
     """The (runs, m) terms c_j at each packed row of X."""
-    Y = _images(blocks, X)
-    return np.add.reduce(Y[:, 0] * Y[:, 1], 1)
+    return _terms(_images(blocks, X))
 
 
 def _image_gradient(blocks, Y, slope) -> np.ndarray:
@@ -549,7 +551,7 @@ def _pair_gradient(blocks, Y, X, field: Field, orthogonal: bool) -> np.ndarray:
     squared norms at feasible pairs.
     """
     n = X.shape[1] // 2
-    G = _image_gradient(blocks, Y, 2.0 * np.add.reduce(Y[:, 0] * Y[:, 1], 1))
+    G = _image_gradient(blocks, Y, 2.0 * _terms(Y))
     for N, size in zip(_constraint_normals(X[:, :n], X[:, n:], field, orthogonal), (1.0, 1.0, 2.0, 2.0)):
         G -= (_row_dots(N, G) / size) * N
     return G
@@ -739,7 +741,7 @@ def _second_order(blocks, products, X, field: Field, orthogonal: bool, width=Non
     runs = X.shape[0]
     Xu, Xv = X[:, :n], X[:, n:]
     Y = _images(blocks, X)
-    c = np.add.reduce(Y[:, 0] * Y[:, 1], 1)
+    c = _terms(Y)
     if width is None:
         psi, slope, curve = c * c, 2.0 * c, np.full_like(c, 2.0)
     else:
@@ -842,7 +844,7 @@ def _line_search(blocks, X, rows, Y, direction, scale, margin, lam, field: Field
     the scale it moved by.  Returns the mask of the moved rows.
     """
     pending = np.arange(rows.size)
-    c = np.add.reduce(Y[:, 0] * Y[:, 1], 1)
+    c = _terms(Y)
     for _ in range(_HALVINGS):
         at = rows[pending]
         cand = _retract_packed(X[at] + scale[pending, None] * direction[pending], field, orthogonal)
@@ -921,7 +923,7 @@ def _newton_runs(blocks, products, X, field: Field, orthogonal: bool, width=None
         stop[done] = np.where(passed[ended], 1, 2)
         if smooth:
             # the pass is over: sum_j |c_j|, from the images, and the smoothing gap it leaves
-            c, square = np.abs(np.add.reduce(Y[ended, 0] * Y[ended, 1], 1)), (width[done] ** 2)[:, None]
+            c, square = np.abs(_terms(Y[ended])), (width[done] ** 2)[:, None]
             value[done] = np.sum(c, axis=1)
             passes[done] += 1
             narrow = np.sum(square / (np.sqrt(c * c + square) + c), axis=1) > _GAP_TOL * (1.0 + value[done])
@@ -1142,7 +1144,7 @@ def condition_number(A: SensingMatrix, p: int, cfg: OptimizerConfig | None = Non
     )
 
 
-def is_tight_4_frame(A: SensingMatrix, tol: float = 1e-6) -> TightFrameCheck:
+def is_tight_4_frame(A: SensingMatrix) -> TightFrameCheck:
     """Exact test whether sum_j |<a_j, x>|^4 is constant over the unit sphere.
 
     With W the m x d^2 matrix whose row j is vec(a_j a_j^T), the quartic is
@@ -1151,7 +1153,7 @@ def is_tight_4_frame(A: SensingMatrix, tol: float = 1e-6) -> TightFrameCheck:
     and (d_ik d_jl + d_il d_jk)/2 over the complex field, and the quartic is
     constant exactly when K is a multiple of S.  The sphere average is
     tr K / ||S||_F^2, and the frame is tight when the relative residual
-    ||K - mean S||_F / ||K||_F is at most `tol`.  Since ||K||_F^2 =
+    ||K - mean S||_F / ||K||_F is at most 1e-6.  Since ||K||_F^2 =
     sum_ij |<a_i, a_j>|^4 and tr K = sum_j |a_j|^4, tightness is equality in
     the Welch bound ||K||_F^2 >= (tr K)^2 / ||S||_F^2.  Costs O(m d^4) time
     and O(m d^2 + d^4) memory and draws no random numbers; an all-zero
@@ -1169,4 +1171,4 @@ def is_tight_4_frame(A: SensingMatrix, tol: float = 1e-6) -> TightFrameCheck:
     mean = float(np.trace(K).real) / norm2
     size = float(np.linalg.norm(K))
     residual = float(np.linalg.norm(K - mean * S.reshape(K.shape))) / size if size > 0 else math.inf
-    return TightFrameCheck(bool(residual <= tol), mean, residual)
+    return TightFrameCheck(bool(residual <= 1e-6), mean, residual)

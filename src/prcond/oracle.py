@@ -56,7 +56,6 @@ from .lipschitz import (
 from .planar import _bloch_rows, _bloch_vector, _check_witness, _on_sphere, _pair_from_point
 
 __all__ = [
-    "GridSpec",
     "SubTanCheck",
     "McEstimate",
     "SuiteResult",
@@ -71,36 +70,6 @@ __all__ = [
     "verify_all",
     "k_hat",
 ]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Search-effort contract for the certified planar oracle.
-
-    The branch and bound starts from one cell, the whole box.  `max_levels`
-    is how many halvings a cell may take from the box, over all its axes:
-    the default 54 is 18 per axis on the three-axis complex L slice.  The
-    search also stops once a cell nears the float resolution of the box,
-    which a one-axis slice can reach before 54 halvings.
-    `max_cells` caps the cells one level may evaluate, so degenerate flat
-    valleys terminate with an honestly wider band instead of running
-    forever.  Each grid estimate's `convergence` is a `BandRecord` that says
-    which of these ended its search.  On the 400 bands of acceptance
-    criterion 7 at the defaults, 259 searches end on the gap test (every U
-    band, and 59 of the 100 p=2 L bands: all 50 real ones and 9 complex)
-    and 141 at the level cap (the 100 p=1 L bands, whose per-term floors
-    leave the width to this budget, and 41 complex p=2 L bands), none at
-    `max_cells`.
-    """
-
-    max_levels: int = 54
-    max_cells: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be at least 1")
-        if self.max_cells < 64:
-            raise ValueError("max_cells must be at least 64")
 
 
 @dataclass(frozen=True)
@@ -135,6 +104,20 @@ _CHUNK = 8192
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# The search budget.  A cell may take _MAX_LEVELS halvings from the box,
+# over all its axes: 18 per axis on the three-axis complex L slice.  The
+# search also stops once a cell nears the float resolution of the box,
+# which a one-axis slice can reach first.  _MAX_CELLS caps the cells one
+# level may evaluate, so degenerate flat valleys end with an honestly wider
+# band instead of running forever.  Each band's `BandRecord` says which of
+# these ended its search.  On the 400 bands of acceptance criterion 7, 259
+# searches end on the gap test (every U band, and 59 of the 100 p=2 L
+# bands: all 50 real ones and 9 complex) and 141 at the level cap (the 100
+# p=1 L bands, whose per-term floors leave the width to this budget, and
+# 41 complex p=2 L bands), none at _MAX_CELLS.
+_MAX_LEVELS = 54
+_MAX_CELLS = 200_000
+
 
 def _evaluate(evaluate, cent, half):
     """Least centre value and its column, then the floors and split axes.
@@ -164,7 +147,7 @@ def _evaluate(evaluate, cent, half):
     return best, at, floors, axis
 
 
-def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
+def _branch_bound(evaluate, lo, hi) -> _BandResult:
     """Certified minimum band for a box-constrained objective.
 
     Cells are stored as columns: `evaluate(cent, half)` maps n cells
@@ -182,8 +165,8 @@ def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
     into two children, all minus children first, then all plus children.
     The children cover their parent in exact arithmetic, whatever the
     rounding of their centres, and the search ends at the level cap once
-    `spec.max_levels` is reached or a cell nears the float resolution of
-    the box.
+    `_MAX_LEVELS` is reached or a cell nears the float resolution of the
+    box.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -215,10 +198,10 @@ def _branch_bound(evaluate, lo, hi, spec: GridSpec) -> _BandResult:
         del floors, axis
         cent = cent.take(idx, axis=1)
         half = half.take(idx, axis=1)
-        if levels == spec.max_levels or half.min() < 16.0 * pad:
+        if levels == _MAX_LEVELS or half.min() < 16.0 * pad:
             stop = "level cap"
             break
-        if 2 * n > spec.max_cells:
+        if 2 * n > _MAX_CELLS:
             stop = "max_cells"
             break
         # split each kept cell on its split axis (a one-hot mask) into
@@ -415,7 +398,7 @@ def _smooth_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | 
     return evaluate
 
 
-def _planar_band(A: SensingMatrix, p: int, r: float | None, grid: GridSpec | None):
+def _planar_band(A: SensingMatrix, p: int, r: float | None):
     """Branch and bound over one slice of a planar matrix's problem.
 
     Returns the band result and the optimal point (r, y), y on S^2.
@@ -423,16 +406,13 @@ def _planar_band(A: SensingMatrix, p: int, r: float | None, grid: GridSpec | Non
     if A.d != 2:
         raise ValueError(f"the certified oracle needs d=2 input, got d={A.d}")
     evaluate, param, lo, hi = _planar_problem(A, p, r)
-    res = _branch_bound(evaluate, lo, hi, grid or GridSpec())
+    res = _branch_bound(evaluate, lo, hi)
     rs, Y, _ = param(res.arg[:, None])
     return res, float(np.ravel(rs)[0]), _on_sphere(Y[:, 0])
 
 
 def grid_lower_l(
-    A: SensingMatrix,
-    p: int,
-    constraint: Constraint = Constraint.REAL_INNER,
-    grid: GridSpec | None = None,
+    A: SensingMatrix, p: int, constraint: Constraint = Constraint.REAL_INNER
 ) -> LipschitzEstimate:
     """Certified planar infimum of the lower Lipschitz objective.
 
@@ -447,7 +427,7 @@ def grid_lower_l(
     p = _check_p(p)
     A, k = _unit_scale(A)
     orthogonal = constraint is Constraint.ORTHOGONAL
-    res, r, y = _planar_band(A, p, 0.0 if orthogonal else None, grid)
+    res, r, y = _planar_band(A, p, 0.0 if orthogonal else None)
 
     u, v = _pair_from_point(r, y, A.field)
     value = res.best ** (1.0 / p)
@@ -460,7 +440,7 @@ def grid_lower_l(
     return _rescaled(est, k)
 
 
-def grid_upper_u(A: SensingMatrix, p: int, grid: GridSpec | None = None) -> LipschitzEstimate:
+def grid_upper_u(A: SensingMatrix, p: int) -> LipschitzEstimate:
     """Certified planar supremum of the upper Lipschitz objective.
 
     Mirrors `grid_lower_l`: the band contains the true supremum, the value
@@ -469,7 +449,7 @@ def grid_upper_u(A: SensingMatrix, p: int, grid: GridSpec | None = None) -> Lips
     """
     p = _check_p(p)
     A, k = _unit_scale(A)
-    res, _, w = _planar_band(A, p, 1.0, grid)
+    res, _, w = _planar_band(A, p, 1.0)
 
     u = _bloch_vector(w, A.field)
     value = (-res.best) ** (1.0 / p)
@@ -835,30 +815,21 @@ def _mc_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
     )
 
 
-def verify_all(
-    rng: RngSpec | None = None,
-    metric_pairs: int = 10_000,
-    lagrange_draws: int = 1_000,
-    gk_grid_points: int = 32,
-    gmin_instances: int = 100,
-    subtan_instances: int = 10_000,
-    mc_samples: int = 1_000_000,
-) -> VerificationReport:
+def verify_all() -> VerificationReport:
     """Run every identity and consistency suite and collect one report.
 
-    The default budgets match the documented acceptance scale; they can be
-    shrunk for a quick smoke pass.  A fixed default seed keeps the outcome
-    reproducible run to run.  The expectation curves are checked at five
-    angles per field, and one draw of `mc_samples` Gaussian vectors per
-    field serves all five.
+    The budgets are the documented acceptance scale, and a fixed seed keeps
+    the outcome reproducible run to run.  The expectation curves are
+    checked at five angles per field, and one draw of a million Gaussian
+    vectors per field serves all five.
     """
-    g = (rng or RngSpec(20240817, 0)).generator()
+    g = RngSpec(20240817, 0).generator()
     suites = (
-        _metric_suite(g, metric_pairs),
-        _lagrange_suite(g, lagrange_draws),
-        _gk_suite(gk_grid_points),
-        _gmin_suite(g, gmin_instances),
-        _subtan_suite(g, subtan_instances),
-        _mc_suite(g, mc_samples),
+        _metric_suite(g, 10_000),
+        _lagrange_suite(g, 1_000),
+        _gk_suite(32),
+        _gmin_suite(g, 100),
+        _subtan_suite(g, 10_000),
+        _mc_suite(g, 1_000_000),
     )
     return VerificationReport(suites)

@@ -231,7 +231,7 @@ def test_oracle_bands_bracket_harmonic_constants(capsys):
     assert up_band[0] - 1e-12 <= h.U <= up_band[1]
     beta_lo, beta_hi = payload["beta_band"]
     assert beta_lo <= h.beta <= beta_hi
-    assert payload["grid"] == {"max_levels": 54, "max_cells": 200_000}
+    assert "grid" not in payload
     assert payload["orthogonal"]["kind"] == "OrthogonalM"
 
 

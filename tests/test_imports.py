@@ -14,7 +14,7 @@ PACKAGE = Path(prcond.__file__).resolve().parent
 EXPORTED = {
     "BandRecord", "BoundSpec", "CSV_HEADER", "ConditionReport", "ConsistencyError",
     "Constraint", "ConvergenceRecord", "ConvergenceRow", "EstimateKind",
-    "ExperimentConfig", "ExperimentRecord", "Field", "GENERATOR_NAME", "GridSpec",
+    "ExperimentConfig", "ExperimentRecord", "Field", "GENERATOR_NAME",
     "HarmonicConstants", "LipschitzEstimate", "McEstimate", "Method",
     "NO_PHASE_RETRIEVAL_FLAG", "OptimizerConfig", "PolarRow", "PowerRecord", "RngSpec",
     "SQRT3", "SensingMatrix", "SubTanCheck", "SuiteResult", "SweepResult",
@@ -182,8 +182,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     # widened to complex the harmonic frame loses injectivity: exit 3
     assert prcond.cli.main(["beta", "--m", "7", "--p", "1", "--field", "complex"]) == 3
     assert prcond.cli.main(["oracle", "--m", "5", "--p", "1"]) == 0
-assert verify_all(metric_pairs=100, lagrange_draws=20, gk_grid_points=3, gmin_instances=2,
-                  subtan_instances=40, mc_samples=5_000).passed
+assert verify_all().passed
 print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 """
     assert _fresh_interpreter(code) == "[]"

@@ -780,6 +780,7 @@ def test_condition_report_json_is_deterministic_and_complete():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["beta_is_finite"] is True
     assert r1["solver"]["generator"] == "philox4x64"
+    assert set(r1["solver"]) == {"starts", "seed", "stream", "generator"}
     assert set(r1) >= {
         "p", "field", "m", "d", "L", "U", "beta",
         "theoretical_lower_bound", "flags", "lower", "upper", "solver",

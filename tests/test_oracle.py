@@ -1,6 +1,7 @@
 """Certified planar oracle, identity checkers, and the verification suites."""
 
 import functools
+import inspect
 import math
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from prcond.lipschitz import (
     upper_objective,
 )
 from prcond.oracle import (
-    GridSpec,
     check_g_min_at_one,
     check_gk_closed_form,
     check_lagrange_identities,
@@ -44,20 +44,34 @@ from prcond.oracle import (
 )
 from prcond.planar import _bloch_rows
 
-FAST_GRID = GridSpec(max_levels=45, max_cells=40_000)
+
+@pytest.fixture
+def fast_grid(monkeypatch):
+    """A reduced search budget for the branch and bound."""
+    monkeypatch.setattr(oracle, "_MAX_LEVELS", 45)
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 40_000)
 
 
 # ---------------------------------------------------------------------------
-# grid spec contract
+# search budget
 # ---------------------------------------------------------------------------
 
-def test_grid_spec_validates_inputs():
-    assert GridSpec() == GridSpec(max_levels=54, max_cells=200_000)
-    GridSpec(max_levels=1, max_cells=64)
-    with pytest.raises(ValueError, match="max_levels"):
-        GridSpec(max_levels=0)
-    with pytest.raises(ValueError, match="max_cells"):
-        GridSpec(max_cells=63)
+def test_default_search_budget_is_fixed_and_reached():
+    # the budget is no input of the oracle: the bands take the matrix, p and
+    # the constraint only, and run at the two module constants
+    assert list(inspect.signature(grid_lower_l).parameters) == ["A", "p", "constraint"]
+    assert list(inspect.signature(grid_upper_u).parameters) == ["A", "p"]
+    assert (oracle._MAX_LEVELS, oracle._MAX_CELLS) == (54, 200_000)
+    # on the harmonic frame the p=1 L search takes every level of the
+    # budget, and the flat p=2 L valley stops before a level would pass
+    # the cell budget
+    A = harmonic_frame(5)
+    capped = grid_lower_l(A, 1).convergence
+    assert (capped.stop, capped.levels) == ("level cap", oracle._MAX_LEVELS)
+    assert capped.largest_frontier <= oracle._MAX_CELLS
+    wide = grid_lower_l(A, 2).convergence
+    assert wide.stop == "max_cells" and wide.levels < oracle._MAX_LEVELS
+    assert oracle._MAX_CELLS // 2 < wide.largest_frontier <= oracle._MAX_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +80,14 @@ def test_grid_spec_validates_inputs():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 @pytest.mark.parametrize("p", [1, 2])
-def test_oracle_matches_harmonic_constants(m, p):
+def test_oracle_matches_harmonic_constants(m, p, fast_grid):
     # the reduced-effort grid resolves the constants to a few parts in 1e4;
     # the default grid is pinned tighter in the spot test below
     A = harmonic_frame(m)
     h = harmonic_constants(m, p)
-    lo = grid_lower_l(A, p, Constraint.REAL_INNER, FAST_GRID)
-    orth = grid_lower_l(A, p, Constraint.ORTHOGONAL, FAST_GRID)
-    up = grid_upper_u(A, p, FAST_GRID)
+    lo = grid_lower_l(A, p, Constraint.REAL_INNER)
+    orth = grid_lower_l(A, p, Constraint.ORTHOGONAL)
+    up = grid_upper_u(A, p)
     assert lo.value == pytest.approx(h.L, abs=2e-4)
     assert orth.value == pytest.approx(h.L_orth, abs=2e-4)
     assert up.value == pytest.approx(h.U, abs=2e-4)
@@ -89,11 +103,11 @@ def test_oracle_default_grid_resolves_harmonic_m5(p):
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_oracle_bands_contain_the_exact_constants(p):
+def test_oracle_bands_contain_the_exact_constants(p, fast_grid):
     A = harmonic_frame(5)
     h = harmonic_constants(5, p)
-    lo = grid_lower_l(A, p, Constraint.REAL_INNER, FAST_GRID)
-    up = grid_upper_u(A, p, FAST_GRID)
+    lo = grid_lower_l(A, p, Constraint.REAL_INNER)
+    up = grid_upper_u(A, p)
     assert lo.certified_band[0] <= h.L <= lo.certified_band[1] + 1e-12
     assert up.certified_band[0] - 1e-12 <= h.U <= up.certified_band[1]
     # the attained edge of each band is the reported value
@@ -101,11 +115,11 @@ def test_oracle_bands_contain_the_exact_constants(p):
     assert up.certified_band[0] == up.value
 
 
-def test_oracle_estimate_metadata():
+def test_oracle_estimate_metadata(fast_grid):
     A = harmonic_frame(4)
-    lo = grid_lower_l(A, 2, Constraint.REAL_INNER, FAST_GRID)
-    orth = grid_lower_l(A, 2, Constraint.ORTHOGONAL, FAST_GRID)
-    up = grid_upper_u(A, 2, FAST_GRID)
+    lo = grid_lower_l(A, 2, Constraint.REAL_INNER)
+    orth = grid_lower_l(A, 2, Constraint.ORTHOGONAL)
+    up = grid_upper_u(A, 2)
     assert lo.kind is EstimateKind.LOWER_L
     assert orth.kind is EstimateKind.ORTHOGONAL_M
     assert up.kind is EstimateKind.UPPER_U
@@ -113,31 +127,31 @@ def test_oracle_estimate_metadata():
     assert lo.p == 2
 
 
-def test_oracle_witnesses_are_feasible_and_attaining():
+def test_oracle_witnesses_are_feasible_and_attaining(fast_grid):
     A = sample_gaussian(Field.COMPLEX, 6, 2, RngSpec(314, 0))
     for p in (1, 2):
         for constraint in (Constraint.REAL_INNER, Constraint.ORTHOGONAL):
-            est = grid_lower_l(A, p, constraint, FAST_GRID)
+            est = grid_lower_l(A, p, constraint)
             est.witness.validate()
             direct = pair_objective(A, est.witness.u, est.witness.v, p)
             assert direct == pytest.approx(est.value, rel=1e-8)
-    up = grid_upper_u(A, 2, FAST_GRID)
+    up = grid_upper_u(A, 2)
     assert abs(np.linalg.norm(up.witness) - 1.0) < 1e-10
     assert upper_objective(A, up.witness, 2) == pytest.approx(up.value, rel=1e-8)
 
 
-def test_oracle_orthogonal_never_undercuts_free_minimum():
+def test_oracle_orthogonal_never_undercuts_free_minimum(fast_grid):
     for k in range(3):
         A = sample_gaussian(Field.COMPLEX, 7, 2, RngSpec(271, k))
-        free = grid_lower_l(A, 1, Constraint.REAL_INNER, FAST_GRID)
-        orth = grid_lower_l(A, 1, Constraint.ORTHOGONAL, FAST_GRID)
+        free = grid_lower_l(A, 1, Constraint.REAL_INNER)
+        orth = grid_lower_l(A, 1, Constraint.ORTHOGONAL)
         assert orth.value >= free.value - 1e-9
 
 
-def test_oracle_scaling_covariance():
+def test_oracle_scaling_covariance(fast_grid):
     A = sample_gaussian(Field.REAL, 6, 2, RngSpec(99, 0))
-    base = grid_lower_l(A, 2, Constraint.REAL_INNER, FAST_GRID)
-    scaled = grid_lower_l(A.scaled(2.0), 2, Constraint.REAL_INNER, FAST_GRID)
+    base = grid_lower_l(A, 2, Constraint.REAL_INNER)
+    scaled = grid_lower_l(A.scaled(2.0), 2, Constraint.REAL_INNER)
     assert scaled.value == pytest.approx(4.0 * base.value, rel=1e-7)
 
 
@@ -184,17 +198,17 @@ def test_oracle_requires_planar_input():
 # branch-and-bound record and layout parity
 # ---------------------------------------------------------------------------
 
-def _three_bands(A, p, grid):
+def _three_bands(A, p):
     """L, M and U of a planar matrix at one p."""
     return (
-        grid_lower_l(A, p, Constraint.REAL_INNER, grid),
-        grid_lower_l(A, p, Constraint.ORTHOGONAL, grid),
-        grid_upper_u(A, p, grid),
+        grid_lower_l(A, p, Constraint.REAL_INNER),
+        grid_lower_l(A, p, Constraint.ORTHOGONAL),
+        grid_upper_u(A, p),
     )
 
 
-def test_branch_bound_records_gap_and_level_cap_stops():
-    spec = GridSpec(max_levels=5)
+def test_branch_bound_records_gap_and_level_cap_stops(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_LEVELS", 5)
 
     # the search starts from the box itself, and a flat function closes
     # on its first cell
@@ -202,7 +216,7 @@ def test_branch_bound_records_gap_and_level_cap_stops():
         one = np.ones(cent.shape[1])
         return one, one, half
 
-    res = oracle._branch_bound(flat, [0.0], [1.0], spec)
+    res = oracle._branch_bound(flat, [0.0], [1.0])
     assert res.record == BandRecord("gap", 1, 0, 1)
     assert res.floor == res.best == 1.0
     assert res.arg.tolist() == [0.5]
@@ -214,14 +228,14 @@ def test_branch_bound_records_gap_and_level_cap_stops():
     def line(cent, half):
         return cent[0], cent[0] - half[0], half
 
-    res = oracle._branch_bound(line, [0.0], [1.0], spec)
+    res = oracle._branch_bound(line, [0.0], [1.0])
     assert res.record == BandRecord("level cap", 1 + 2 * 5, 5, 2)
     assert -1e-14 < res.floor <= 0.0
     assert res.best == pytest.approx(2.0 ** -6, rel=1e-13)
 
 
 @pytest.mark.parametrize("target", [np.pi / 2, 3.0, 4.0 * np.pi / 3, 3.0 * np.pi / 2, 5.5, 2.0 * np.pi - 1e-3])
-def test_branch_bound_stops_at_the_float_resolution_with_the_minimum_covered(target):
+def test_branch_bound_stops_at_the_float_resolution_with_the_minimum_covered(target, monkeypatch):
     # one axis, theta in [0, 2 pi], and floors that never close on the gap:
     # a cell near the target keeps a floor 1 below its value.  Halving down
     # to the level budget would pass the float spacing of theta, so the
@@ -236,7 +250,9 @@ def test_branch_bound_stops_at_the_float_resolution_with_the_minimum_covered(tar
         last[:] = [cent[0].copy(), half[0].copy()]
         return dist, floors, half
 
-    res = oracle._branch_bound(slope, [0.0], [2.0 * np.pi], GridSpec(max_levels=200, max_cells=64))
+    monkeypatch.setattr(oracle, "_MAX_LEVELS", 200)
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 64)
+    res = oracle._branch_bound(slope, [0.0], [2.0 * np.pi])
     assert res.record.stop == "level cap"
     assert 40 < res.record.levels < 54
     assert any(Fraction(float(c)) - Fraction(float(h)) <= Fraction(target)
@@ -246,12 +262,12 @@ def test_branch_bound_stops_at_the_float_resolution_with_the_minimum_covered(tar
 @pytest.mark.parametrize("field,p,r", [
     (Field.COMPLEX, 1, None), (Field.REAL, 1, 0.0), (Field.COMPLEX, 2, None), (Field.COMPLEX, 1, 1.0),
 ])
-def test_bands_do_not_depend_on_the_evaluation_chunk(field, p, r, monkeypatch):
+def test_bands_do_not_depend_on_the_evaluation_chunk(field, p, r, monkeypatch, fast_grid):
     # the branch and bound evaluates its cells a chunk at a time, so that
     # its memory is the frontier's; the chunk size must not change the band.
     # Every frontier here passes 13 cells, so some level takes several calls
     A = sample_gaussian(field, 9, 2, RngSpec(1414, 9))
-    whole = oracle._planar_band(A, p, r, FAST_GRID)
+    whole = oracle._planar_band(A, p, r)
     seen = []
     problem = oracle._planar_problem
 
@@ -266,21 +282,22 @@ def test_bands_do_not_depend_on_the_evaluation_chunk(field, p, r, monkeypatch):
 
     monkeypatch.setattr(oracle, "_planar_problem", recording)
     monkeypatch.setattr(oracle, "_CHUNK", 13)
-    (res, rs, y), (ref, ref_rs, ref_y) = oracle._planar_band(A, p, r, FAST_GRID), whole
+    (res, rs, y), (ref, ref_rs, ref_y) = oracle._planar_band(A, p, r), whole
     assert max(seen) == 13 and sum(seen) == res.record.evaluations
     assert len(seen) > res.record.levels + 1
     assert (res.floor, res.best, res.record, rs) == (ref.floor, ref.best, ref.record, ref_rs)
     assert res.arg.tobytes() == ref.arg.tobytes() and y.tobytes() == ref_y.tobytes()
 
 
-def test_band_record_reports_a_max_cells_stop():
+def test_band_record_reports_a_max_cells_stop(monkeypatch):
     # from the whole box, the first six levels keep every cell of the L and
     # M slices live, so those searches stop where level 7 would split 64
     # cells into 128; the U frontiers stay within 64 cells and close on the
     # gap
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 64)
     A = sample_gaussian(Field.COMPLEX, 6, 2, RngSpec(5, 6))
     for p in (1, 2):
-        low, orth, up = _three_bands(A, p, GridSpec(max_cells=64))
+        low, orth, up = _three_bands(A, p)
         for est in (low, orth):
             assert est.convergence == BandRecord("max_cells", 127, 6, 64)
             assert est.certified_band[0] == 0.0
@@ -343,29 +360,29 @@ def test_centred_floors_bound_the_slice_on_each_cell(field, p, r):
 
 
 @pytest.mark.parametrize("field", list(Field))
-def test_band_record_stays_within_the_grid_budget(field):
+def test_band_record_stays_within_the_grid_budget(field, fast_grid):
     A = sample_gaussian(field, 6, 2, RngSpec(5, 6))
     for p in (1, 2):
-        for est in _three_bands(A, p, FAST_GRID):
+        for est in _three_bands(A, p):
             rec = est.convergence
             assert isinstance(rec, BandRecord)
             assert rec.stop in ("gap", "level cap", "max_cells")
             # one cell for the box, then at least two a level
             assert 1 + 2 * rec.levels <= rec.evaluations
-            assert rec.levels <= FAST_GRID.max_levels
+            assert rec.levels <= oracle._MAX_LEVELS
             assert rec.largest_frontier <= rec.evaluations
-            assert rec.stop == "max_cells" or rec.largest_frontier <= FAST_GRID.max_cells
+            assert rec.stop == "max_cells" or rec.largest_frontier <= oracle._MAX_CELLS
 
 
-def test_band_record_stays_out_of_the_json():
-    est = grid_upper_u(harmonic_frame(4), 2, FAST_GRID)
+def test_band_record_stays_out_of_the_json(fast_grid):
+    est = grid_upper_u(harmonic_frame(4), 2)
     assert set(estimate_to_json_dict(est, Field.REAL)) == {
         "value", "kind", "method", "certified_band", "witness",
     }
 
 
 # Bands of the branch and bound that stored cells as rows, on the draws
-# sample_gaussian(field, m, 2, RngSpec(1414, m)), at a FAST_GRID that swept
+# sample_gaussian(field, m, 2, RngSpec(1414, m)), at a reduced budget that swept
 # an initial grid of 256 points, split across the box axes, and then halved
 # each axis at most 9 times.  Each row bounds the width and the certified
 # edge of a band that must still contain the closed-form constant.  On the
@@ -418,13 +435,13 @@ def _parity_matrix(field, m):
 
 
 @pytest.mark.parametrize("field, m, p, name, evaluations, lo, hi", _ROW_LAYOUT_BANDS)
-def test_bands_match_the_row_layout(field, m, p, name, evaluations, lo, hi):
+def test_bands_match_the_row_layout(field, m, p, name, evaluations, lo, hi, fast_grid):
     A = _parity_matrix(field, m)
     if name == "U":
-        est = grid_upper_u(A, p, FAST_GRID)
+        est = grid_upper_u(A, p)
     else:
         constraint = Constraint.REAL_INNER if name == "L" else Constraint.ORTHOGONAL
-        est = grid_lower_l(A, p, constraint, FAST_GRID)
+        est = grid_lower_l(A, p, constraint)
     band = est.certified_band
     exact = {"L": lower_lipschitz, "M": orthogonal_lower_bound, "U": upper_lipschitz}[name](A, p)
     assert exact.method is Method.CLOSED_FORM
@@ -804,15 +821,8 @@ def test_mc_expectation_is_the_formula_on_the_one_expression_draw_bit_for_bit(
 # bundled verification report
 # ---------------------------------------------------------------------------
 
-def test_verify_all_passes_at_reduced_budgets():
-    report = verify_all(
-        metric_pairs=400,
-        lagrange_draws=60,
-        gk_grid_points=4,
-        gmin_instances=3,
-        subtan_instances=150,
-        mc_samples=40_000,
-    )
+def test_verify_all_passes():
+    report = verify_all()
     assert report.passed
     names = [s.name for s in report.suites]
     assert names == [
@@ -829,16 +839,7 @@ def test_verify_all_passes_at_reduced_budgets():
 
 
 def test_verify_all_is_reproducible():
-    kw = dict(
-        metric_pairs=100,
-        lagrange_draws=20,
-        gk_grid_points=3,
-        gmin_instances=2,
-        subtan_instances=40,
-        mc_samples=5_000,
-    )
-    a = verify_all(rng=RngSpec(7, 7), **kw)
-    b = verify_all(rng=RngSpec(7, 7), **kw)
+    a, b = verify_all(), verify_all()
     assert [s.max_residual for s in a.suites] == [s.max_residual for s in b.suites]
 
 

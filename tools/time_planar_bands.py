@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-band times, work and widths of the certified planar oracle.
 
-Runs every band kind of the oracle at the default `GridSpec`: L, M and U,
+Runs every band kind of the oracle at its search budget: L, M and U,
 at p=1 and p=2, over both fields, each on the draw
 `sample_gaussian(field, m, 2, RngSpec(7, m))`.  Each band is computed
 --repeats times.  For each kind it reports the median and the least
@@ -25,7 +25,6 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,7 +84,8 @@ def main(argv=None) -> int:
     record = {
         "tool": "time_planar_bands",
         "environment": environment(),
-        "settings": {"m": args.m, "repeats": args.repeats, "grid": asdict(oracle.GridSpec())},
+        "settings": {"m": args.m, "repeats": args.repeats,
+                     "grid": {"max_levels": oracle._MAX_LEVELS, "max_cells": oracle._MAX_CELLS}},
         "results": rows,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
