@@ -149,11 +149,11 @@ class BandRecord:
     """How the certified planar branch and bound of `oracle` ended.
 
     `stop` is "gap" when the band closed to its relative gap (a frontier
-    with no floor below the incumbent has a gap of 0), "level cap" when
-    the search used all `oracle._MAX_LEVELS` levels or reached the float
-    resolution of a cell's centre, and "max_cells" when splitting the
-    frontier would have passed `oracle._MAX_CELLS`; the last two mean the
-    search budget, not the gap, set the band's width.
+    with no floor below the incumbent has a gap of 0), "resolution" when a
+    cell's half-width reached the float resolution of the box, and
+    "max_cells" when splitting the frontier would have passed
+    `oracle._MAX_CELLS`; the last two mean that the float resolution or
+    the cell budget, not the gap, set the band's width.
     `evaluations` counts the cells evaluated, the whole box, where the
     search starts, included; `levels` counts the subdivision levels after
     it, and `largest_frontier` the most cells evaluated at once.

@@ -10,10 +10,11 @@ coordinates y.  Searching these boxes IS the planar optimum, not a
 relaxation of it.  A branch-and-bound over them yields an interval
 certified to contain the true optimum, plus a witness vector or pair
 rebuilt from the optimal parameters.  Its cell floors are centred forms
-(value, partials and a curvature bound, from the moment matrix) on the
-smooth slices, every slice at p=2 and U at p=1, where the band closes on
-its gap; the p=1 L and M slices, whose terms have kinks, keep per-term
-interval bounds.
+(value, partials and a curvature bound): of the quadratic at p=2, and at
+p=1 of the linear sum of the terms that keep their sign over the cell,
+which is every term of U; a p=1 term that can cross zero in the cell
+gives up its centre value.  Every band closes on its gap.  Each level
+splits a cell on all its axes of about its widest effective width.
 
 Identity suite.  The remaining functions check, numerically and over wide
 sweeps, the trigonometric partial-sum identities, the closed form of the
@@ -24,6 +25,7 @@ the weighted-sine tangent bound, and the Gaussian expectation curves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,53 +100,111 @@ class _BandResult:
 
 
 # Cells per evaluator call.  Each call's work arrays, (m, cells) for the
-# per-term floor and (<= 4, cells) for the centred form, stay near a
-# megabyte whatever the frontier.
+# p=1 terms and (<= 4, cells) for the centred form, stay near a megabyte
+# whatever the frontier.
 _CHUNK = 8192
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# The search budget.  A cell may take _MAX_LEVELS halvings from the box,
-# over all its axes: 18 per axis on the three-axis complex L slice.  The
-# search also stops once a cell nears the float resolution of the box,
-# which a one-axis slice can reach first.  _MAX_CELLS caps the cells one
-# level may evaluate, so degenerate flat valleys end with an honestly wider
-# band instead of running forever.  Each band's `BandRecord` says which of
-# these ended its search.  On the 400 bands of acceptance criterion 7, 259
-# searches end on the gap test (every U band, and 59 of the 100 p=2 L
-# bands: all 50 real ones and 9 complex) and 141 at the level cap (the 100
-# p=1 L bands, whose per-term floors leave the width to this budget, and
-# 41 complex p=2 L bands), none at _MAX_CELLS.
-_MAX_LEVELS = 54
+# The search budget.  _MAX_CELLS caps the cells one level may evaluate, so
+# degenerate flat valleys end with an honestly wider band instead of running
+# forever.  Otherwise a search ends on the gap test, or at the float
+# resolution, once a cell's half-width nears the float spacing of the box.
+# Each level halves every cell's widest effective axis, and the r and theta
+# axes' effective widths are their half-widths, so a planar search reaches
+# that resolution within 47 levels (half-widths of at most pi, halved down
+# to 16 pads).  Each band's `BandRecord` says which of these ended its
+# search.  On the 400 bands of acceptance criterion 7, all 400 searches end
+# on the gap test, in at most 46 levels and 7,968 cells a level.
 _MAX_CELLS = 200_000
 
 
 def _evaluate(evaluate, cent, half):
     """Least centre value and its column, then the floors and split axes.
 
-    `evaluate` runs on at most `_CHUNK` columns at a time.  Of its output
-    only the floors and each cell's first widest effective axis are kept,
-    so a level costs 57 bytes a cell with its centres and half-widths.
+    `evaluate` runs on `_CHUNK` columns at a time, and a one-column tail
+    joins the chunk before it.  Of its output only the floors and each
+    cell's split axes are kept, as bits: every axis whose effective width
+    is at least half the cell's widest.  So a level costs 57 bytes a cell
+    with its centres and half-widths.
     """
-    n = cent.shape[1]
+    k, n = cent.shape
     floors = np.empty(n)
-    axis = np.empty(n, dtype=np.int8)
-    best, at = math.inf, 0
-    for start in range(0, n, _CHUNK):
-        cols = slice(start, start + _CHUNK)
+    # axis a is bit a, set unless the axis is below half the widest; a
+    # one-axis box splits every cell on it
+    axes = np.ones(n, dtype=np.uint8)
+    best, at, start = math.inf, 0, 0
+    while start < n:
+        # numpy sums the terms of a lone column in another order than those
+        # of a wider block, so a one-column tail would round differently
+        end = n if n - start <= _CHUNK + 1 else start + _CHUNK
+        cols = slice(start, end)
         vals, floors[cols], eff = evaluate(cent[:, cols], half[:, cols])
-        # eff.argmax(axis=0) a row at a time, twice as fast on these short
-        # columns; the strict > keeps the first widest axis, as argmax does
-        split = axis[cols]
-        split[:] = 0
-        top = eff[0].copy()
-        for a in range(1, len(eff)):
-            split[eff[a] > top] = a
-            np.maximum(top, eff[a], out=top)
+        if k > 1:
+            # "not below" rather than ">=" also splits a NaN width, so that
+            # every cell splits on at least one axis
+            cut = eff.max(axis=0)
+            cut *= 0.5
+            axes[cols] = np.packbits(~(eff < cut), axis=0, bitorder="little")[0]
         i = int(np.argmin(vals))
         if vals[i] < best:
             best, at = float(vals[i]), start + i
-    return best, at, floors, axis
+        start = end
+    return best, at, floors, axes
+
+
+def _split(cent, half, axes, counts, sides, pad):
+    """The children of the cells (columns), each split on its `axes` bits.
+
+    `counts` holds how many cells have each split mask, and `sides` each
+    mask's axes and child sides (`_mask_sides`).  The cells of one mask,
+    with split axes a_0 < ... < a_(s-1), give 2^s blocks of children, one
+    child of each cell a block: block b is on the plus side of a_j,
+    c_a + h_a/2, where bit j of b is set, and on the minus side, c_a - h_a/2,
+    where it is not, with half-width h_a/2 + pad on every split axis.  A
+    one-axis box thus has all minus children first, then all plus children.
+    Almost every level has one mask; the masks come in increasing order.
+    """
+    k = cent.shape[0]
+    kids = []
+    for mask in counts.nonzero()[0]:
+        c, h = cent, half
+        if counts[mask] < cent.shape[1]:
+            idx = (axes == mask).nonzero()[0]
+            c, h = c.take(idx, axis=1), h.take(idx, axis=1)
+        ax, signs = sides[mask]
+        blocks = signs.shape[1]
+        n = c.shape[1]
+        c = np.concatenate([c] * blocks, axis=1)
+        h = np.concatenate([h] * blocks, axis=1)
+        cv = c.reshape(k, blocks, n)
+        hv = h.reshape(k, blocks, n)
+        for a, sign in zip(ax, signs):
+            step = hv[a, 0] * 0.5
+            width = hv[a, 0] - step
+            width += pad
+            # c + (-1) step rounds as c - step does
+            cv[a] += sign[:, None] * step
+            hv[a] = width
+        kids.append((c, h))
+    if len(kids) == 1:
+        return kids[0]
+    return tuple(np.concatenate(part, axis=1) for part in zip(*kids))
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_sides(mask: int):
+    """The axes of a split mask, and the side of each child block on each.
+
+    signs[j, b] is +1 where bit j of b is set and -1 where it is not, so a
+    mask of s axes has 2^s child blocks.  Cached, since every band asks for
+    the same few masks; the cached array is read-only.
+    """
+    ax = tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
+    bits = np.arange(1 << len(ax)) >> np.arange(len(ax))[:, None]
+    signs = np.where(bits & 1, 1.0, -1.0)
+    signs.flags.writeable = False
+    return ax, signs
 
 
 def _branch_bound(evaluate, lo, hi) -> _BandResult:
@@ -161,12 +221,14 @@ def _branch_bound(evaluate, lo, hi) -> _BandResult:
     cannot beat the incumbent; dropped cells stay above the final
     incumbent, so the reported floor bounds the global minimum over the
     whole box.  Each level compacts the frontier to the cells whose floor
-    is below the incumbent and splits each along its widest effective axis
-    into two children, all minus children first, then all plus children.
+    is below the incumbent and splits each along every axis whose effective
+    width is at least half its widest, into 2^s children for s such axes
+    (`_split`): near-cubic cells halve all their axes at once, so a search
+    takes fewer levels, while a one-axis box splits as a bisection does.
     The children cover their parent in exact arithmetic, whatever the
-    rounding of their centres, and the search ends at the level cap once
-    `_MAX_LEVELS` is reached or a cell nears the float resolution of the
-    box.
+    rounding of their centres.  Every level splits each live cell on at
+    least one axis, so the search ends, at the latest, once a cell nears
+    the float resolution of the box.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -179,9 +241,12 @@ def _branch_bound(evaluate, lo, hi) -> _BandResult:
     # covering their parent.  A cell within 16 pads of a point barely
     # shrinks when split, so that ends the search as well
     pad = 2.0 * _EPS * float(np.abs(np.concatenate([lo, hi])).max())
+    # each split mask's axes and child sides, and its number of children
+    sides = [_mask_sides(mask) for mask in range(1 << k)]
+    brood = np.array([signs.shape[1] for _, signs in sides])
     best, arg, evals, largest, levels = math.inf, cent[:, 0], 0, 0, 0
     while True:
-        least, i, floors, axis = _evaluate(evaluate, cent, half)
+        least, i, floors, axes = _evaluate(evaluate, cent, half)
         evals += cent.shape[1]
         largest = max(largest, cent.shape[1])
         if least < best:
@@ -192,33 +257,21 @@ def _branch_bound(evaluate, lo, hi) -> _BandResult:
             stop = "gap"
             break
         # past the gap test floor < best, so some cell's floor is below best
-        idx = np.flatnonzero(floors < best)
-        n = idx.size
-        widest = np.arange(k)[:, None] == axis.take(idx)
-        del floors, axis
+        idx = (floors < best).nonzero()[0]
+        del floors
+        axes = axes.take(idx)
         cent = cent.take(idx, axis=1)
         half = half.take(idx, axis=1)
-        if levels == _MAX_LEVELS or half.min() < 16.0 * pad:
-            stop = "level cap"
+        if half.min() < 16.0 * pad:
+            stop = "resolution"
             break
-        if 2 * n > _MAX_CELLS:
+        counts = np.bincount(axes, minlength=1 << k)
+        if counts.dot(brood) > _MAX_CELLS:
             stop = "max_cells"
             break
-        # split each kept cell on its split axis (a one-hot mask) into
-        # children at c -/+ h/2, with half-width h/2 + pad there, all minus
-        # children first; the parent level's arrays go as soon as they are
-        # used, so that a band's peak memory is one level's cells
-        step = half * widest
-        step *= 0.5
-        half -= step
-        half += pad * widest
-        del widest
-        children = np.empty((k, 2 * n))
-        np.subtract(cent, step, out=children[:, :n])
-        np.add(cent, step, out=children[:, n:])
-        del step
-        cent = children
-        half = np.concatenate([half, half], axis=1)
+        # the parent level's arrays go as soon as they are split, so that a
+        # band's peak memory is one level's cells
+        cent, half = _split(cent, half, axes, counts, sides, pad)
         levels += 1
 
     return _BandResult(floor, best, arg, BandRecord(stop, evals, levels, largest))
@@ -236,18 +289,16 @@ def _planar_problem(A: SensingMatrix, p: int, r: float | None):
     sin(theta) times h_gamma: the effective widths reported back for the
     split heuristic.
 
-    The smooth slices, every slice at p=2 and U at p=1, get the centred
-    form of `_smooth_evaluator`.  The p=1 L and M slices, whose terms have
-    kinks, get a zero-order floor by interval arithmetic per measurement:
-    inside a cell each |r + <m_i, y>| moves by at most the cell slack
-    h_r + ||Delta y||.
+    Every slice gets the centred form of `_centred_evaluator`: of the
+    quadratic at p=2, and at p=1 of the linear sum of the terms whose sign
+    the cell fixes, since inside a cell each r + <m_i, y> moves by at most
+    the cell slack h_r + ||Delta y||.
 
     Cells are columns, as in `_branch_bound`.  `param(Z)` maps cells Z
     (k, n) to r (a scalar or a row), the sphere points Y as columns (two
     rows over the reals, where the third coordinate is zero, three over
-    the complex field) and sin(theta) (None over the reals).  The per-term
-    floor forms the terms |r + <m_i, y>| of all cells as one (m, n) array
-    M @ Y, and each sum over the m terms is one product kap @ T.
+    the complex field) and the rows sin(theta), cos(gamma) and sin(gamma)
+    that the centred form uses again (None over the reals).
     """
     kap, M = _bloch_rows(A)
     real = A.field is Field.REAL
@@ -264,54 +315,43 @@ def _planar_problem(A: SensingMatrix, p: int, r: float | None):
             np.cos(Z[-1], out=Y[0])
             np.sin(Z[-1], out=Y[1])
             return rs, Y, None
-        st = np.sin(Z[-2])
+        trig = st, cg, sg = np.sin(Z[-2]), np.cos(Z[-1]), np.sin(Z[-1])
         np.cos(Z[-2], out=Y[0])
-        np.cos(Z[-1], out=Y[1])
-        Y[1] *= st
-        np.sin(Z[-1], out=Y[2])
-        Y[2] *= st
-        return rs, Y, st
+        np.multiply(cg, st, out=Y[1])
+        np.multiply(sg, st, out=Y[2])
+        return rs, Y, trig
 
     def cells(Z, H):
         # param, and the effective widths: h_gamma times the cell's largest
         # |sin(theta)|, at most |sin(theta_c)| + h_theta
-        rs, Y, st = param(Z)
+        rs, Y, trig = param(Z)
         if real:
-            return rs, Y, st, H
+            return rs, Y, trig, H
         eff = H.copy()
-        s = np.abs(st)
+        s = np.abs(trig[0])
         s += H[-2]
         np.minimum(s, 1.0, out=s)
         eff[-1] *= s
-        return rs, Y, st, eff
+        return rs, Y, trig, eff
 
-    if p == 2 or r == 1:
-        return _smooth_evaluator(cells, kap, M, p, r), param, lo, hi
-
-    def evaluate(Z, H):
-        rs, Y, _, eff = cells(Z, H)
-        slack = eff.sum(axis=0)
-        # each term |r + <m_i, y>|, then its bound over the cell, in place
-        T = M @ Y
-        if r is None:
-            T += rs
-        np.abs(T, out=T)
-        vals = kap @ T
-        T -= slack
-        np.maximum(T, 0.0, out=T)
-        return vals, kap @ T, eff
-
-    return evaluate, param, lo, hi
+    return _centred_evaluator(cells, kap, M, p, r), param, lo, hi
 
 
-def _smooth_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | None):
-    """Centred-form evaluator of a smooth slice: every slice at p=2, U at p=1.
+def _centred_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | None):
+    """Centred-form evaluator of one slice of the planar problem.
 
     With w = (r, y), or w = y at r=0, the p=2 objective is w^T G w for the
     moment matrix G = sum kappa_i^2 (1, m_i)(1, m_i)^T, evaluated as
     |R w|^2 with R^T R = G so that it stays >= 0.  At p=1 every term of U
     is >= 0, so U is the linear g . w with g = sum kappa_i (1, m_i).  The
-    partials are d_a F = 2 (G w) . d_a w, or g . d_a w.  On a cell with
+    p=1 L and M terms t_i = r + <m_i, y> have kinks, but inside a cell each
+    moves by at most the slack e below, so a term with |t_i(c)| > e keeps
+    the sign it has at the centre c.  Those terms sum to the linear g_c . w,
+    g_c = sum kappa_i sign(t_i(c)) (1, m_i) over them, which gets the same
+    floor as U; a term that can cross zero is bounded below by 0, so it
+    gives up its centre value kappa_i |t_i(c)| <= kappa_i e.  U is the case
+    where every sign is + and no term crosses.  The partials are
+    d_a F = 2 (G w) . d_a w, or g . d_a w.  On a cell with
     half-widths h and sin(theta) at most s, the partials of the sphere map
     have norms 1 (theta) and s (gamma), so |w - w_c| <= e, the sum of the
     effective widths h_r + h_theta + s h_gamma.  The second partials have
@@ -326,11 +366,15 @@ def _smooth_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | 
     where q = (G w)_y, the part of G w that meets the sphere's curvature,
     moves by at most lam_max e over the cell.  The U ceiling adds the
     dropped J^T G J term, at most lam_max e^2.  At p=1 the curvature term
-    is |g_y| c / 2.  This is the centred (mean-value) form of
-    interval analysis (Moore, Kearfott & Cloud, Introduction to Interval
-    Analysis, SIAM 2009): near the optimum the partials vanish, so the gap
-    falls like h^2 where the zero-order floor falls like h.  Every array it
-    forms is (<= 4, cells).
+    is |g_y| c / 2, and on L and M the floor starts from g_c . w_c, the
+    centre value less the share of the terms that can cross zero.  This is
+    the centred (mean-value) form of interval analysis (Moore, Kearfott &
+    Cloud, Introduction to Interval Analysis, SIAM 2009): near a smooth
+    optimum the partials vanish, so the gap falls like h^2 where a
+    zero-order floor falls like h.  A p=1 L or M optimum sits on a kink,
+    where only the 2-3 terms that cross zero there keep an O(h) loss.
+    Apart from the p=1 terms, (m, cells), every array it forms is
+    (<= 4, cells).
     """
     B = M if r == 0 else np.hstack([np.ones((M.shape[0], 1)), M])
     if p == 2:
@@ -339,40 +383,64 @@ def _smooth_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | 
         R = np.sqrt(np.maximum(lam, 0.0))[:, None] * V.T
         Ry = R if r == 0 else R[:, 1:]
         lam_max = float(lam[-1])
-    else:
+    elif r == 1:
         g = kap @ B
         lam_max = 0.0
         bend = 0.5 * float(np.linalg.norm(g[1:]))
+    else:
+        # the rows kappa_i (1, m_i)_a, one per coordinate a of w
+        KB = (B * kap[:, None]).T.copy()
 
     def evaluate(Z, H):
-        rs, Y, st, eff = cells(Z, H)
+        rs, Y, trig, eff = cells(Z, H)
+        # |w - w_c| <= span over the cell
+        span = eff.sum(axis=0)
         if p == 2:
             v = Ry @ Y
             if r != 0:
                 v += R[:, :1] * rs
-            F = np.einsum("kn,kn->n", v, v)
+            F = base = np.einsum("kn,kn->n", v, v)
             q = Ry.T @ v
-        else:
-            F = g[1:] @ Y + g[0]
+        elif r == 1:
+            F = base = g[1:] @ Y + g[0]
             q = g[1:]
+            curve = bend
+        else:
+            # the terms at the centre, and the signs of those that keep one
+            # (+-0 for the others); base = g_c . w_c is the centre value of
+            # the kept terms.  einsum sums each cell's terms in one order
+            # whatever the number of cells, where a BLAS product need not
+            T = np.einsum("ia,an->in", M, Y)
+            if r is None:
+                T += rs
+            S = np.abs(T)
+            F = np.einsum("i,in->n", kap, S)
+            np.copysign(S > span, T, out=S)
+            gc = np.einsum("ai,in->an", KB, S)
+            q = gc if r == 0 else gc[1:]
+            base = np.einsum("an,an->n", q, Y)
+            if r is None:
+                base += gc[0] * rs
+            curve = np.hypot(q[0], q[1]) if trig is None else np.sqrt(np.einsum("an,an->n", q, q))
+            curve *= 0.5
         # (d_a F / 2 at p=2, h_a) per box axis: q . d_a y, and (G w)_r for r
-        if st is None:
+        if trig is None:
             parts = [(q[1] * Y[0] - q[0] * Y[1], H[-1])]
         else:
-            cg, sg = np.cos(Z[-1]), np.sin(Z[-1])
+            st, cg, sg = trig
             parts = [(Y[0] * (q[1] * cg + q[2] * sg) - q[0] * st, H[-2]),
                      (q[2] * Y[1] - q[1] * Y[2], H[-1])]
         if r is None:
-            parts.append((R[:, 0] @ v, H[0]))
+            parts.append((R[:, 0] @ v if p == 2 else gc[0], H[0]))
         # in place from here on
-        loss = np.zeros_like(F)
         for d, h in parts:
             np.abs(d, out=d)
             d *= h
+        loss = parts[0][0]
+        for d, _ in parts[1:]:
             loss += d
-        # |w - w_c| <= span over the cell, and |sum_ab d_a d_b y h_a h_b| <= reach
-        span = eff.sum(axis=0)
-        if st is None:
+        # |sum_ab d_a d_b y h_a h_b| <= reach over the cell
+        if trig is None:
             reach = np.square(H[-1])
         else:
             reach = H[-2] + 2.0 * H[-1]
@@ -382,9 +450,7 @@ def _smooth_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | 
             loss *= 2.0
             curve = np.sqrt(np.einsum("kn,kn->n", q, q))
             curve += lam_max * span
-            reach *= curve
-        else:
-            reach *= bend
+        reach *= curve
         loss += reach
         if r == 1:
             # the ceiling of F is the floor of -F
@@ -393,7 +459,7 @@ def _smooth_evaluator(cells, kap: np.ndarray, M: np.ndarray, p: int, r: float | 
             loss += span
             loss += F
             return -F, np.negative(loss, out=loss), eff
-        return F, np.subtract(F, loss, out=loss), eff
+        return F, np.subtract(base, loss, out=loss), eff
 
     return evaluate
 
@@ -430,8 +496,10 @@ def grid_lower_l(
     res, r, y = _planar_band(A, p, 0.0 if orthogonal else None)
 
     u, v = _pair_from_point(r, y, A.field)
+    # compared in the p-th power, where rounding near L = 0 stays at eps
+    # instead of growing to its square root
+    _check_witness(res.best, pair_objective(A, u, v, p) ** p, "planar lower")
     value = res.best ** (1.0 / p)
-    _check_witness(value, pair_objective(A, u, v, p), "planar lower")
     witness = UnitPair(A.field, u, v, constraint)
     witness.validate()
     band = (max(res.floor, 0.0) ** (1.0 / p), value)
@@ -452,8 +520,8 @@ def grid_upper_u(A: SensingMatrix, p: int) -> LipschitzEstimate:
     res, _, w = _planar_band(A, p, 1.0)
 
     u = _bloch_vector(w, A.field)
+    _check_witness(-res.best, upper_objective(A, u, p) ** p, "planar upper")
     value = (-res.best) ** (1.0 / p)
-    _check_witness(value, upper_objective(A, u, p), "planar upper")
     band = (value, max(-res.floor, 0.0) ** (1.0 / p))
     est = LipschitzEstimate(value, EstimateKind.UPPER_U, p, u, Method.GRID_ORACLE, band, res.record)
     return _rescaled(est, k)

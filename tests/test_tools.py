@@ -64,12 +64,13 @@ def test_time_planar_bands_writes_its_record(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
     env = record["environment"]
     assert env["cpu_count"] >= 1 and env["blas"] and env["blas_threads"] in (1, None)
-    assert set(record["settings"]["grid"]) == {"max_levels", "max_cells"}
+    assert set(record["settings"]["grid"]) == {"max_cells"}
     rows = record["results"]
     assert [(r["field"], r["p"], r["kind"]) for r in rows] == [
         (field, p, kind) for field in ("real", "complex") for p in (1, 2) for kind in "LMU"
     ]
     for r in rows:
         assert r["m"] == 4 and 0.0 < r["min_s"] <= r["median_s"]
-        assert r["stop"] in ("gap", "level cap", "max_cells") and r["evaluations"] > 0
+        assert r["stop"] in ("gap", "resolution", "max_cells") and r["evaluations"] > 0
+        assert 0 < r["largest_frontier"] <= r["evaluations"]
         assert r["band"][0] <= r["band"][1] and r["contains_exact"]

@@ -5,10 +5,11 @@ Runs every band kind of the oracle at its search budget: L, M and U,
 at p=1 and p=2, over both fields, each on the draw
 `sample_gaussian(field, m, 2, RngSpec(7, m))`.  Each band is computed
 --repeats times.  For each kind it reports the median and the least
-seconds per call, and the band's `BandRecord` (evaluations, levels and
-the stop reason).  It also gives the band's edges and its width relative
-to the upper edge.  Every band is checked against the closed-form d=2
-constant, and the script exits with code 1 if one misses it.
+seconds per call, and the band's `BandRecord` (evaluations, levels, the
+largest frontier, which sets the peak memory, and the stop reason).  It
+also gives the band's edges and its width relative to the upper edge.
+Every band is checked against the closed-form d=2 constant, and the
+script exits with code 1 if one misses it.
 
 The machine record comes from the benchmark's `environment`
 (`bench/run.py`), whose import pins BLAS to one thread before numpy
@@ -60,7 +61,8 @@ def band_row(field: Field, m: int, p: int, kind: str, repeats: int) -> dict:
     rec = est.convergence
     return {"field": field.value, "m": m, "p": p, "kind": kind,
             "median_s": statistics.median(times), "min_s": min(times),
-            "evaluations": rec.evaluations, "levels": rec.levels, "stop": rec.stop,
+            "evaluations": rec.evaluations, "levels": rec.levels,
+            "largest_frontier": rec.largest_frontier, "stop": rec.stop,
             "band": [lo, hi], "rel_width": (hi - lo) / hi if hi > 0 else 0.0,
             "contains_exact": lo - tol <= value <= hi + tol}
 
@@ -80,12 +82,13 @@ def main(argv=None) -> int:
             for field in Field for p in (1, 2) for kind in KINDS]
     for r in rows:
         print(f"{r['field']:8s} p={r['p']} {r['kind']}  {1e3 * r['median_s']:8.1f} ms"
-              f"  {r['evaluations']:8d} evals  {r['stop']:9s}  width {r['rel_width']:.1e}")
+              f"  {r['evaluations']:8d} evals  {r['largest_frontier']:7d} wide"
+              f"  {r['stop']:10s}  width {r['rel_width']:.1e}")
     record = {
         "tool": "time_planar_bands",
         "environment": environment(),
         "settings": {"m": args.m, "repeats": args.repeats,
-                     "grid": {"max_levels": oracle._MAX_LEVELS, "max_cells": oracle._MAX_CELLS}},
+                     "grid": {"max_cells": oracle._MAX_CELLS}},
         "results": rows,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
